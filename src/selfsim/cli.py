@@ -488,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
                        help="enumeration cap (default %(default)s)")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads; ${THREADS_ENV} overrides, "
-                            "default: available parallelism")
+                       help=f"worker threads, at least 1; ${THREADS_ENV} overrides; "
+                            "validated but currently unused: every command runs "
+                            "single-threaded")
         p.add_argument("--seed", type=int, default=0,
                        help="random seed (default %(default)s)")
 

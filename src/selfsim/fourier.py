@@ -11,19 +11,20 @@ polylogarithmic decay exponent together with its frequency threshold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
-from .ifs import DEFAULT_WORD_CAP, WeightedIFS, stopping_words
+from .errors import InputError, ResourceCapError
+# stopping_words is unused here but stays importable under this name:
+# bench/child.py wraps selfsim.fourier.stopping_words when tracing, and
+# `--trace 1` fails with AttributeError without it.
+from .ifs import DEFAULT_WORD_CAP, WeightedIFS, stopping_words  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
-# Rows processed per numpy block when evaluating many frequencies at once.
-_BLOCK_ENTRIES = 2_000_000
+# Complex entries of one level array in a frequency block of the fold.
+_FOLD_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,102 @@ class DecayFit:
     envelope: tuple[tuple[float, float], ...]
 
 
-@lru_cache(maxsize=8)
-def _cylinder_grid(ifs: WeightedIFS, t: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    family = stopping_words(ifs, t, cap)
-    mid = np.array([w.intercept + 0.5 * w.slope for w in family.words])
-    wts = np.array([w.weight_product for w in family.words])
-    return mid, wts
+def _stopping_states(
+    ifs: WeightedIFS, t: float, cap: int,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+    """Internal nodes of the stopping tree at scale exp(-t), merged by symbol counts.
+
+    The subtree below a word depends only on its ratio product, which
+    depends only on how often each symbol occurs, so words with equal
+    symbol counts share one state.  States are discovered level by level
+    (word length); a child stays internal iff ratio * r_k > exp(-t), the
+    rule of stopping_words.  Level n is returned as (ratios, children):
+    the ratio product of each state with n symbols, and for each map k
+    the index of the child state at level n + 1, or -1 where the child is
+    a family word.
+
+    The family size is counted exactly from the number of tree nodes on
+    each state.  After each level, the words found so far plus the nodes
+    of the next level bound the family size from below, since each node
+    roots at least one word of its own; ResourceCapError is raised as soon
+    as that bound or the state count exceeds ``cap``.  With two or more
+    maps the state count stays below that bound.
+    """
+    if not (t > 0.0 and math.isfinite(t)):
+        raise InputError(f"stopping time must be positive and finite, got {t!r}")
+    if cap < 1:
+        raise InputError(f"word cap must be at least 1, got {cap!r}")
+    threshold = math.exp(-t)
+    ratios = [m.ratio for m in ifs.maps]
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    # Symbol counts -> [index in level, ratio product, tree nodes].
+    frontier: dict[tuple[int, ...], list] = {(0,) * ifs.size: [0, 1.0, 1]}
+    states = words = 0
+    while frontier:
+        states += len(frontier)
+        below: dict[tuple[int, ...], list] = {}
+        children = np.full((len(frontier), ifs.size), -1, dtype=np.intp)
+        for i, (counts, (_, ratio, nodes)) in enumerate(frontier.items()):
+            for k, r_k in enumerate(ratios):
+                r = ratio * r_k
+                if r <= threshold:
+                    words += nodes
+                    continue
+                key = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
+                entry = below.get(key)
+                if entry is None:
+                    entry = below[key] = [len(below), r, 0]
+                entry[2] += nodes
+                children[i, k] = entry[0]
+        levels.append((np.array([e[1] for e in frontier.values()]), children))
+        bound = words + sum(e[2] for e in below.values())
+        if states > cap or bound > cap:
+            raise ResourceCapError(
+                f"stopping family for t={t!r} exceeds cap={cap} "
+                f"(at least {bound} words, {states} internal states)")
+        frontier = below
+    return levels, words
+
+
+def _family_sums(
+    ifs: WeightedIFS, t: float, xis: np.ndarray, cap: int,
+) -> tuple[np.ndarray, int]:
+    """Cylinder midpoint sums over the stopping family at every frequency.
+
+    Returns the transform values sum_w p_w exp(-2*pi*i*xi*(c_w + r_w/2))
+    at ``xis`` and the family size.  The sum is folded up the states of
+    _stopping_states, deepest level first:
+
+        V_s = sum_k p_k exp(-2*pi*i*xi*r_s*b_k) * V_{s+e_k}    (internal child)
+            + sum_k p_k exp(-2*pi*i*xi*r_s*(b_k + r_k/2))      (child is a word)
+
+    and the root value is the family sum.  Only two levels are live at a
+    time, and frequencies are processed in blocks of at most
+    _FOLD_ENTRIES entries per level.  The angles carry the sign of xi
+    through exact negations only, so conjugate frequencies give exactly
+    conjugate values.
+    """
+    levels, words = _stopping_states(ifs, t, cap)
+    xis = np.asarray(xis, dtype=float)
+    rows = max(1, _FOLD_ENTRIES // max(len(ratio) for ratio, _ in levels))
+    values = np.empty(len(xis), dtype=complex)
+    for start in range(0, len(xis), rows):
+        chunk = xis[start:start + rows]
+        below = np.empty((0, len(chunk)), dtype=complex)
+        for ratio, children in reversed(levels):
+            angle = np.multiply.outer(-TWO_PI * ratio, chunk)
+            here = np.zeros(angle.shape, dtype=complex)
+            for k, (m, p) in enumerate(zip(ifs.maps, ifs.weights)):
+                child = children[:, k]
+                word = child < 0
+                inner = ~word
+                term = np.empty_like(here)
+                term[word] = np.exp(1j * (angle[word] * (m.translation + 0.5 * m.ratio)))
+                term[inner] = np.exp(1j * (angle[inner] * m.translation)) * below[child[inner]]
+                here += p * term
+            below = here
+        values[start:start + len(chunk)] = below[0]
+    return values, words
 
 
 def mu_hat_cylinder(
@@ -78,14 +169,13 @@ def mu_hat_cylinder(
     returned bound pi*|xi|*exp(-t) dominates the true error (using the
     half-width exp(-t)/2 per cylinder).
     """
-    mid, wts = _cylinder_grid(ifs, float(t), int(cap))
-    value = complex(np.dot(wts, np.exp((-1j * TWO_PI * xi) * mid)))
+    values, words = _family_sums(ifs, t, np.array([float(xi)]), cap)
     return SpectralSample(
         xi=float(xi),
-        value=value,
+        value=complex(values[0]),
         error_bound=math.pi * abs(xi) * math.exp(-t),
         method="cylinder",
-        cost=len(mid),
+        cost=words,
     )
 
 
@@ -152,16 +242,6 @@ def self_similarity_residual(
     return abs(parent.value - combined)
 
 
-def _scan_block(mid: np.ndarray, wts: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    out = np.empty(len(xis), dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // max(1, len(mid)))
-    for start in range(0, len(xis), rows):
-        chunk = xis[start:start + rows]
-        phases = np.exp(np.outer(chunk, mid) * (-1j * TWO_PI))
-        out[start:start + len(chunk)] = phases @ wts
-    return out
-
-
 def dyadic_scan(
     ifs: WeightedIFS,
     xi_max: float,
@@ -175,15 +255,14 @@ def dyadic_scan(
     Blocks start at the powers of two below ``xi_max``; inside the block
     [X, 2X) the grid points are X * 2^(j / points_per_octave).  Each block
     reports its maximum modulus and the largest per-sample error bound.
-    Work is split across ``threads`` workers (default 1) without changing
-    any computed value.
+    Every frequency is summed by one fold over the stopping states;
+    ``threads`` is accepted for compatibility and no longer splits work.
     """
     if not (xi_max > 1.0):
         raise InputError(f"frequency ceiling must exceed 1, got {xi_max!r}")
     if points_per_octave < 1:
         raise InputError(
             f"need at least one point per octave, got {points_per_octave!r}")
-    mid, wts = _cylinder_grid(ifs, float(t), int(cap))
     blocks: list[tuple[float, np.ndarray]] = []
     k = 0
     while 2.0 ** k < xi_max:
@@ -193,19 +272,15 @@ def dyadic_scan(
         if len(xis):
             blocks.append((x, xis))
         k += 1
-    workers = 1 if threads is None else max(1, int(threads))
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(
-                lambda blk: _scan_block(mid, wts, blk[1]), blocks))
-    else:
-        values = [_scan_block(mid, wts, xis) for _, xis in blocks]
+    values, words = _family_sums(
+        ifs, t, np.concatenate([xis for _, xis in blocks]), cap)
+    splits = np.cumsum([len(xis) for _, xis in blocks])[:-1]
     samples: list[SpectralSample] = []
     envelope: list[EnvelopePoint] = []
-    for (x, xis), vals in zip(blocks, values):
+    for (x, xis), vals in zip(blocks, np.split(values, splits)):
         errs = math.pi * np.abs(xis) * math.exp(-t)
         block: list[SpectralSample] = [
-            SpectralSample(float(xi), complex(v), float(e), "cylinder", len(mid))
+            SpectralSample(float(xi), complex(v), float(e), "cylinder", words)
             for xi, v, e in zip(xis, vals, errs)
         ]
         samples.extend(block)

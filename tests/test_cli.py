@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,17 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_fourier_scan_stops_at_cap(capsys):
+    # The default cap of 5e7 words stands between this family and the
+    # machine's memory; the scan must give up quickly, before allocating.
+    started = time.monotonic()
+    code, _, err = run(["fourier-scan", "--spec",
+                        '{"maps":[["999/1000","0"],["1/2000","1999/2000"]]}',
+                        "--t", "20", "--xi-max", "1e3"], capsys)
+    assert code == 3 and "cap" in err
+    assert time.monotonic() - started < 5.0
 
 
 def test_spec_file_loading(tmp_path, capsys):

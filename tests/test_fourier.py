@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_disjoint_ifs
 from oracles import cantor_product_transform
 from selfsim import (
     InputError,
+    ResourceCapError,
     Similitude,
     WeightedIFS,
     decay_fit,
@@ -17,9 +20,12 @@ from selfsim import (
     mu_hat_monte_carlo,
     self_similarity_residual,
     solve_t_of_xi,
+    stopping_words,
     theoretical_beta,
 )
 from selfsim.luroth import luroth_natural_ifs
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +38,52 @@ def luroth23():
 def cantor():
     return WeightedIFS(
         (0, 1), (Similitude(1 / 3, 0.0), Similitude(1 / 3, 2 / 3)), (0.5, 0.5))
+
+
+@pytest.fixture(scope="module")
+def ninety():
+    return WeightedIFS(
+        (0, 1), (Similitude(9 / 10, 0.0), Similitude(1 / 20, 19 / 20)), (0.6, 0.4))
+
+
+def enumerated_sum(ifs, xi, t):
+    """Midpoint rule summed word by word over the enumerated stopping family."""
+    words = stopping_words(ifs, t).words
+    mid = np.array([w.intercept + 0.5 * w.slope for w in words])
+    wts = np.array([w.weight_product for w in words])
+    terms = wts * np.exp((-2j * math.pi * xi) * mid)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)), len(words)
+
+
+def assert_matches_enumeration(ifs, xi, t):
+    sample = mu_hat_cylinder(ifs, xi, t)
+    want, size = enumerated_sum(ifs, xi, t)
+    assert sample.cost == size
+    assert abs(sample.value - want) <= 4 * EPS * (size + 2 * math.pi * abs(xi))
+
+
+REFERENCE_XIS = (0.0, 1e-9, -1e-9, 0.37, -0.37, 7.5, -300.0, 4321.0, 1e5, 1e6, -1e6)
+
+
+def test_mu_hat_matches_enumerated_family(luroth23, cantor, ninety):
+    for ifs, ts in ((luroth23, (0.5, 3.0, 9.0, 14.0)), (cantor, (1.0, 2.0, 10.0)),
+                    (ninety, (1.0, 4.0, 9.0))):
+        for t in ts:
+            for xi in REFERENCE_XIS:
+                assert_matches_enumeration(ifs, xi, t)
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        ifs = random_disjoint_ifs(rng)
+        t = float(rng.uniform(0.5, 7.0))
+        for xi in REFERENCE_XIS:
+            assert_matches_enumeration(ifs, xi, t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.05, 6.0),
+       xi=st.floats(-1e6, 1e6, allow_subnormal=False))
+def test_mu_hat_matches_enumerated_family_property(seed, t, xi):
+    assert_matches_enumeration(random_disjoint_ifs(np.random.default_rng(seed)), xi, t)
 
 
 def test_mu_hat_at_zero_is_total_mass(luroth23):
@@ -162,6 +214,9 @@ def test_solve_t_of_xi_inverts():
 def test_mu_hat_validation(luroth23):
     with pytest.raises(InputError):
         mu_hat_cylinder(luroth23, 1.0, 0.0)
+    with pytest.raises(ResourceCapError) as err:
+        mu_hat_cylinder(luroth23, 1.0, 12.0, cap=50)
+    assert "cap" in str(err.value)
     with pytest.raises(InputError):
         mu_hat_monte_carlo(luroth23, 1.0, samples=0, depth=5, seed=1)
     with pytest.raises(InputError):
