@@ -36,7 +36,6 @@ from .fourier import (
     EnvelopePoint,
     SpectralSample,
     decay_fit,
-    dyadic_envelope,
     dyadic_scan,
     mu_hat_cylinder,
     mu_hat_monte_carlo,
@@ -119,7 +118,6 @@ __all__ = [
     "cylinder_mass",
     "decay_fit",
     "diagonal_mass",
-    "dyadic_envelope",
     "dyadic_scan",
     "figure_intervals",
     "interval_mass_bounds",

@@ -2,11 +2,17 @@
 
 Job specs arrive as small JSON documents describing a weighted system
 either explicitly (maps plus optional weights, numbers as exact fraction
-or decimal strings) or as a Luroth digit set.  Each subcommand prints a
-one-line key=value summary on stdout and, when an output path is given,
-writes a CSV artifact plus a JSON sidecar carrying the same rows and the
-run metadata.  Exit status: 0 success, 2 input error, 3 resource cap,
+or decimal strings) or as a Luroth digit set.  Every subcommand is one
+entry of COMMANDS: a function (args, spec) -> (summary, tables), the kind
+of spec it takes and its own flags.  One runner serves them all: it loads
+the spec, prints the one-line key=value summary on stdout and, when an
+output path is given, writes one CSV per table plus a JSON sidecar with
+the run metadata and, per table, its header, row count and the sha256 of
+the CSV bytes.  Exit status: 0 success, 2 input error, 3 resource cap,
 4 internal invariant violation.
+
+Library functions are called through this module's globals, looked up
+at call time, so a tracer can replace them here.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .dimension import natural_weights, solve_moran
@@ -45,8 +52,6 @@ from .luroth import (
 from .measure import diagonal_mass, regularity_scan
 from .renewal import phase_test_function, renewal_expectation_mc
 
-THREADS_ENV = "SELFSIM_THREADS"
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -58,17 +63,18 @@ class JobSpec:
     sha256: str
 
 
-def _exact_number(value, field: str) -> Fraction:
+def _number(value, field: str) -> float:
+    """A spec number read exactly, then rounded once to a finite float."""
     try:
         if isinstance(value, bool):
             raise ValueError("booleans are not numbers")
         if isinstance(value, (int, str)):
-            return Fraction(value)
+            return float(Fraction(value))
         if isinstance(value, float):
-            return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"field {field!r}: cannot parse {value!r} as a number") from exc
-    raise InputError(f"field {field!r}: cannot parse {value!r} as a number")
+            return float(Fraction(str(value)))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"field {field!r}: cannot read {value!r} as a finite number") from exc
+    raise InputError(f"field {field!r}: cannot read {value!r} as a finite number")
 
 
 def parse_spec(text: str) -> JobSpec:
@@ -99,14 +105,10 @@ def parse_spec(text: str) -> JobSpec:
     if "luroth" in doc:
         if "weights" in doc:
             raise InputError("field 'weights': not allowed with a 'luroth' spec")
-        digits = doc["luroth"]
-        if not isinstance(digits, list) or not digits:
-            raise InputError("field 'luroth': expected a non-empty digit list")
-        for d in digits:
-            if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-                raise InputError(f"field 'luroth': digits must be integers >= 2, got {d!r}")
-        luroth_digits = tuple(sorted(set(digits)))
-        base = luroth_ifs(luroth_digits)
+        if not isinstance(doc["luroth"], list):
+            raise InputError("field 'luroth': expected a digit list")
+        base = luroth_ifs(doc["luroth"])
+        luroth_digits = base.symbols
     else:
         rows = doc["maps"]
         if not isinstance(rows, list) or not rows:
@@ -115,15 +117,13 @@ def parse_spec(text: str) -> JobSpec:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 2:
                 raise InputError(f"field 'maps[{i}]': expected a [ratio, translation] pair")
-            ratio = _exact_number(row[0], f"maps[{i}].ratio")
-            trans = _exact_number(row[1], f"maps[{i}].translation")
-            maps.append(Similitude(float(ratio), float(trans)))
+            maps.append(Similitude(_number(row[0], f"maps[{i}].ratio"),
+                                   _number(row[1], f"maps[{i}].translation")))
         if "weights" in doc:
             wrow = doc["weights"]
             if not isinstance(wrow, list) or len(wrow) != len(maps):
                 raise InputError("field 'weights': must list one weight per map")
-            weights = tuple(float(_exact_number(w, f"weights[{i}]"))
-                            for i, w in enumerate(wrow))
+            weights = tuple(_number(w, f"weights[{i}]") for i, w in enumerate(wrow))
             ifs = WeightedIFS(tuple(range(len(maps))), tuple(maps), weights)
             return JobSpec(ifs, None, None, digest)
         base = WeightedIFS(tuple(range(len(maps))), tuple(maps),
@@ -143,62 +143,53 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _summary_line(command: str, items: dict) -> str:
-    return command + " " + " ".join(f"{k}={_fmt(v)}" for k, v in items.items())
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
-def _json_ready(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
-def _write_artifacts(out: str, command: str, args: argparse.Namespace,
-                     spec_sha: str | None, summary: dict,
+def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: dict,
                      tables: dict[str, tuple[list[str], list[tuple]]],
                      started: float) -> None:
-    """Write one CSV per table plus a JSON sidecar mirroring everything.
+    """Write one CSV per table plus a JSON sidecar describing the run.
 
-    The primary table lands at ``out``; any extra table is written next to
-    it with its name inserted before the .csv suffix.
+    The primary table lands at ``args.out``; any extra table is written
+    next to it with its name inserted before the .csv suffix.  The sidecar
+    records each table's header, row count and CSV digest, not its rows.
     """
-    base, ext = os.path.splitext(out)
+    base, ext = os.path.splitext(args.out)
     if ext.lower() != ".csv":
-        base, ext = out, ".csv"
-    paths = {}
+        base, ext = args.out, ".csv"
+    written = {}
     for name, (header, rows) in tables.items():
         path = base + ext if name == "main" else f"{base}.{name}{ext}"
-        paths[name] = path
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
+        written[name] = {"header": header, "rows": len(rows), "sha256": _file_sha256(path)}
     sidecar = {
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "spec_sha256": spec_sha,
-        "parameters": {
-            k: _json_ready(v) for k, v in sorted(vars(args).items())
-            if k not in ("func", "out", "spec") and v is not None
-        },
-        "summary": {k: _json_ready(v) for k, v in summary.items()},
-        "tables": {
-            name: {
-                "header": header,
-                "rows": [[_json_ready(v) for v in row] for row in rows],
-            }
-            for name, (header, rows) in tables.items()
-        },
+        "parameters": {k: v for k, v in sorted(vars(args).items())
+                       if k not in ("out", "spec") and v is not None},
+        "summary": summary,
+        "tables": written,
         "wall_time_s": time.monotonic() - started,
     }
     with open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1)
+        # Fractions (exact Luroth values) are written as "p/q" strings.
+        json.dump(sidecar, fh, indent=1, default=_fmt)
         fh.write("\n")
 
 
 def _load_spec(args: argparse.Namespace) -> JobSpec:
-    if not getattr(args, "spec", None):
+    if not args.spec:
         raise InputError("this command needs --spec pointing to a JSON job spec")
     text = args.spec
     if not text.lstrip().startswith("{"):
@@ -210,53 +201,23 @@ def _load_spec(args: argparse.Namespace) -> JobSpec:
     return parse_spec(text)
 
 
-def _luroth_spec(args: argparse.Namespace) -> JobSpec:
-    spec = _load_spec(args)
-    if spec.luroth_digits is None:
-        raise InputError("this command needs a {'luroth': [...]} spec")
-    return spec
+def _one_row(summary: dict, header: list[str]) -> dict:
+    """A main table holding the summary values named by ``header``."""
+    return {"main": (header, [tuple(summary[k] for k in header)])}
 
 
-def _thread_count(args: argparse.Namespace) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise InputError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    elif getattr(args, "threads", None) is not None:
-        value = args.threads
-    else:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise InputError(f"thread count must be at least 1, got {value}")
-    return value
-
-
-def _emit(args, command, summary, tables, spec_sha, started) -> None:
-    print(_summary_line(command, summary))
-    if getattr(args, "out", None):
-        _write_artifacts(args.out, command, args, spec_sha, summary, tables, started)
-
-
-def _cmd_dim(args) -> int:
-    started = time.monotonic()
-    spec = _load_spec(args)
+def _dim(args, spec):
     solution = solve_moran(spec.ifs)
     summary = {
         "dim": solution.s_star,
         "residual": solution.residual,
         "iterations": solution.iterations,
     }
-    tables = {"main": (["s_star", "residual", "iterations"],
-                       [(solution.s_star, solution.residual, solution.iterations)])}
-    _emit(args, "dim", summary, tables, spec.sha256, started)
-    return 0
+    return summary, {"main": (["s_star", "residual", "iterations"],
+                              [(solution.s_star, solution.residual, solution.iterations)])}
 
 
-def _cmd_weights(args) -> int:
-    started = time.monotonic()
-    spec = _load_spec(args)
+def _weights(args, spec):
     solution = solve_moran(spec.ifs)
     nat = natural_weights(spec.ifs, solution.s_star)
     rows = [
@@ -265,17 +226,12 @@ def _cmd_weights(args) -> int:
     ]
     summary = {"dim": solution.s_star,
                "weights": ",".join(_fmt(w) for w in nat.weights)}
-    tables = {"main": (["symbol", "ratio", "translation", "weight"], rows)}
-    _emit(args, "weights", summary, tables, spec.sha256, started)
-    return 0
+    return summary, {"main": (["symbol", "ratio", "translation", "weight"], rows)}
 
 
-def _cmd_fourier_scan(args) -> int:
-    started = time.monotonic()
-    spec = _load_spec(args)
+def _fourier_scan(args, spec):
     samples, envelope = dyadic_scan(
-        spec.ifs, args.xi_max, args.points_per_octave, args.t,
-        cap=args.cap, threads=_thread_count(args))
+        spec.ifs, args.xi_max, args.points_per_octave, args.t, cap=args.cap)
     rows = [(s.xi, s.value.real, s.value.imag, abs(s.value), s.error_bound,
              s.method, s.cost) for s in samples]
     env_rows = [(e.x, e.max_abs, e.error_bound) for e in envelope]
@@ -287,22 +243,16 @@ def _cmd_fourier_scan(args) -> int:
         "envelope_min": min(e.max_abs for e in envelope),
         "envelope_max": max(e.max_abs for e in envelope),
     }
-    tables = {
+    return summary, {
         "main": (["xi", "re", "im", "abs", "error_bound", "method", "cost"], rows),
         "envelope": (["X", "max_abs", "error_bound"], env_rows),
     }
-    _emit(args, "fourier-scan", summary, tables, spec.sha256, started)
-    return 0
 
 
-def _cmd_decay_fit(args) -> int:
-    started = time.monotonic()
-    spec = _load_spec(args)
+def _decay_fit(args, spec):
     _, envelope = dyadic_scan(
-        spec.ifs, args.xi_max, args.points_per_octave, args.t,
-        cap=args.cap, threads=_thread_count(args))
+        spec.ifs, args.xi_max, args.points_per_octave, args.t, cap=args.cap)
     fit = decay_fit(envelope)
-    rows = [(x, v) for x, v in fit.envelope]
     summary = {
         "beta_hat": fit.beta_hat,
         "log_c": fit.log_c,
@@ -310,14 +260,10 @@ def _cmd_decay_fit(args) -> int:
         "window_hi": fit.window[1],
         "residual_rms": fit.residual_rms,
     }
-    tables = {"main": (["X", "max_abs"], rows)}
-    _emit(args, "decay-fit", summary, tables, spec.sha256, started)
-    return 0
+    return summary, {"main": (["X", "max_abs"], list(fit.envelope))}
 
 
-def _cmd_regularity(args) -> int:
-    started = time.monotonic()
-    spec = _load_spec(args)
+def _regularity(args, spec):
     report = regularity_scan(spec.ifs, args.depth, cap=args.cap)
     summary = {
         "alpha_hat": report.alpha_hat,
@@ -326,26 +272,17 @@ def _cmd_regularity(args) -> int:
         "interval_constant": report.interval_constant,
         "depth": report.depth,
     }
-    tables = {"main": (["level", "min_exponent", "max_exponent"], list(report.rows))}
-    _emit(args, "regularity", summary, tables, spec.sha256, started)
-    return 0
+    return summary, {"main": (["level", "min_exponent", "max_exponent"], list(report.rows))}
 
 
-def _cmd_diagonal(args) -> int:
-    started = time.monotonic()
-    spec = _load_spec(args)
+def _diagonal(args, spec):
     lower, upper = diagonal_mass(spec.ifs, args.delta, args.depth, cap=args.cap)
     summary = {"lower": lower, "upper": upper,
                "delta": float(args.delta), "depth": args.depth}
-    tables = {"main": (["delta", "depth", "lower", "upper"],
-                       [(float(args.delta), args.depth, lower, upper)])}
-    _emit(args, "diagonal", summary, tables, spec.sha256, started)
-    return 0
+    return summary, _one_row(summary, ["delta", "depth", "lower", "upper"])
 
 
-def _cmd_dioph_scan(args) -> int:
-    started = time.monotonic()
-    spec = _load_spec(args)
+def _dioph_scan(args, spec):
     lam = auxiliary_measure(spec.ifs)
     if args.l is not None:
         power = args.l
@@ -366,41 +303,30 @@ def _cmd_dioph_scan(args) -> int:
         "log_c": log_c,
         "points": len(report.rows),
     }
-    tables = {"main": (["b", "gap", "scaled_gap"], list(report.rows))}
-    _emit(args, "dioph-scan", summary, tables, spec.sha256, started)
-    return 0
+    return summary, {"main": (["b", "gap", "scaled_gap"], report.rows)}
 
 
-def _cmd_matveev(args) -> int:
-    started = time.monotonic()
-    degree = matveev_degree(args.a1, args.a2)
-    log_c = matveev_log_constant(args.a1, args.a2)
-    summary = {"a1": args.a1, "a2": args.a2, "degree": degree, "log_c": log_c}
-    tables = {"main": (["a1", "a2", "degree", "log_c"],
-                       [(args.a1, args.a2, degree, log_c)])}
-    _emit(args, "matveev", summary, tables, None, started)
-    return 0
+def _matveev(args, spec):
+    summary = {"a1": args.a1, "a2": args.a2,
+               "degree": matveev_degree(args.a1, args.a2),
+               "log_c": matveev_log_constant(args.a1, args.a2)}
+    return summary, _one_row(summary, ["a1", "a2", "degree", "log_c"])
 
 
-def _cmd_luroth_encode(args) -> int:
-    started = time.monotonic()
+def _luroth_encode(args, spec):
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--x: cannot parse {args.x!r} as a number") from exc
     digits = luroth_encode(x, args.n)
-    rows = list(enumerate(digits.digits, start=1))
     summary = {
         "digits": ",".join(str(d) for d in digits.digits),
         "terminating": digits.terminating,
     }
-    tables = {"main": (["index", "digit"], rows)}
-    _emit(args, "luroth-encode", summary, tables, None, started)
-    return 0
+    return summary, {"main": (["index", "digit"], list(enumerate(digits.digits, start=1)))}
 
 
-def _cmd_luroth_decode(args) -> int:
-    started = time.monotonic()
+def _luroth_decode(args, spec):
     try:
         digits = tuple(int(part) for part in args.digits.split(","))
     except ValueError as exc:
@@ -409,48 +335,33 @@ def _cmd_luroth_decode(args) -> int:
     value, tail = luroth_decode(digits, exact=True)
     summary = {"value": float(value), "tail_bound": float(tail),
                "value_exact": value, "tail_exact": tail}
-    tables = {"main": (["value", "tail_bound", "value_exact", "tail_exact"],
-                       [(float(value), float(tail), value, tail)])}
-    _emit(args, "luroth-decode", summary, tables, None, started)
-    return 0
+    return summary, _one_row(summary, ["value", "tail_bound", "value_exact", "tail_exact"])
 
 
-def _cmd_luroth_figure(args) -> int:
-    started = time.monotonic()
-    spec = _luroth_spec(args)
+def _luroth_figure(args, spec):
     intervals = figure_intervals(spec.luroth_digits, args.level, cap=args.cap)
     rows = [(i, left, right) for i, (left, right) in enumerate(intervals)]
-    summary = {"level": args.level, "count": len(intervals)}
-    tables = {"main": (["index", "left", "right"], rows)}
-    _emit(args, "luroth-figure", summary, tables, spec.sha256, started)
-    return 0
+    return ({"level": args.level, "count": len(intervals)},
+            {"main": (["index", "left", "right"], rows)})
 
 
-def _cmd_beta(args) -> int:
-    started = time.monotonic()
-    spec = _luroth_spec(args)
+def _beta(args, spec):
     if len(spec.luroth_digits) < 2:
         raise InputError("beta needs at least two digits in the luroth spec")
     a1, a2 = spec.luroth_digits[0], spec.luroth_digits[1]
-    b4 = beta_theorem4(spec.luroth_digits)
-    b10 = beta_prop10(spec.luroth_digits)
     summary = {
         "dim": spec.dimension,
         "a1": a1,
         "a2": a2,
-        "beta_thm4": b4,
-        "beta_prop10": b10,
+        "beta_thm4": beta_theorem4(spec.luroth_digits),
+        "beta_prop10": beta_prop10(spec.luroth_digits),
         "degree": matveev_degree(a1, a2),
     }
-    tables = {"main": (["a1", "a2", "dim", "beta_thm4", "beta_prop10", "degree"],
-                       [(a1, a2, spec.dimension, b4, b10, matveev_degree(a1, a2))])}
-    _emit(args, "beta", summary, tables, spec.sha256, started)
-    return 0
+    return summary, _one_row(
+        summary, ["a1", "a2", "dim", "beta_thm4", "beta_prop10", "degree"])
 
 
-def _cmd_renewal(args) -> int:
-    started = time.monotonic()
-    spec = _load_spec(args)
+def _renewal(args, spec):
     lam = auxiliary_measure(spec.ifs)
     g = phase_test_function(args.s)
     result = renewal_expectation_mc(lam, g, args.t, args.samples, args.seed)
@@ -464,14 +375,86 @@ def _cmd_renewal(args) -> int:
         "n_samples": result.n_samples,
         "lattice": result.lattice,
     }
-    tables = {"main": (
+    return summary, {"main": (
         ["t", "mc_re", "mc_im", "mc_stderr", "limit_re", "limit_im",
          "n_samples", "seed", "lattice"],
         [(result.t, result.mc_estimate.real, result.mc_estimate.imag,
           result.mc_stderr, result.limit_value.real, result.limit_value.imag,
           result.n_samples, result.seed, result.lattice)])}
-    _emit(args, "renewal", summary, tables, spec.sha256, started)
-    return 0
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: what it does, which spec it takes, its own flags.
+
+    ``spec`` is None (no --spec flag), "any" or "luroth" (a digit-set spec
+    only).  Each flag is a (names, add_argument keywords) pair.
+    """
+
+    help: str
+    spec: str | None
+    run: Callable
+    flags: tuple = ()
+
+
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+_SCAN_FLAGS = (
+    _flag("--t", type=float, default=12.0, help="stopping time (default %(default)s)"),
+    _flag("--xi-max", type=float, default=1e4,
+          help="largest frequency (default %(default)s)"),
+    _flag("--points-per-octave", type=int, default=8,
+          help="grid points per dyadic block (default %(default)s)"),
+)
+
+COMMANDS = {
+    "dim": Command("solve the Moran equation", "any", _dim),
+    "weights": Command("natural weights at the solved dimension", "any", _weights),
+    "fourier-scan": Command("transform values on a dyadic grid", "any", _fourier_scan,
+                            _SCAN_FLAGS),
+    "decay-fit": Command("fit the envelope decay exponent", "any", _decay_fit, _SCAN_FLAGS),
+    "regularity": Command("cylinder mass exponent scan", "any", _regularity, (
+        _flag("--depth", type=int, default=8, help="scan depth (default %(default)s)"),
+    )),
+    "diagonal": Command("product-measure mass near the diagonal", "any", _diagonal, (
+        _flag("--delta", type=float, required=True, help="strip half-width"),
+        _flag("--depth", type=int, default=6, help="cylinder depth (default %(default)s)"),
+    )),
+    "dioph-scan": Command("resonance gap scan of the log spectrum", "any", _dioph_scan, (
+        _flag("--l", type=float, default=None,
+              help="power for the scaled gap; defaults to the two-digit "
+                   "degree for luroth specs"),
+        _flag("--b-max", type=float, default=1e4,
+              help="largest frequency (default %(default)s)"),
+        _flag("--grid", type=int, default=2048,
+              help="uniform grid size before refinement (default %(default)s)"),
+    )),
+    "matveev": Command("two-logarithm degree and constant", None, _matveev, (
+        _flag("--a1", type=int, required=True),
+        _flag("--a2", type=int, required=True),
+    )),
+    "luroth-encode": Command("Luroth digits of a number", None, _luroth_encode, (
+        _flag("--x", required=True, help="number in (0,1], fraction or decimal string"),
+        _flag("--n", type=int, default=30, help="digit count (default %(default)s)"),
+    )),
+    "luroth-decode": Command("number with the given Luroth digits", None, _luroth_decode, (
+        _flag("--digits", required=True, help="comma-separated digits, each >= 2"),
+    )),
+    "luroth-figure": Command("exact retained intervals at a level", "luroth", _luroth_figure, (
+        _flag("--level", type=int, default=3,
+              help="construction level (default %(default)s)"),
+    )),
+    "beta": Command("closed-form decay exponents for a digit set", "luroth", _beta),
+    "renewal": Command("overshoot expectation against its limit", "any", _renewal, (
+        _flag("--t", type=float, default=30.0, help="crossing level (default %(default)s)"),
+        _flag("--samples", type=int, default=100000,
+              help="Monte Carlo sample count (default %(default)s)"),
+        _flag("--s", type=float, default=0.3,
+              help="phase strength of the test observable (default %(default)s)"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,111 +463,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-similar measures: dimensions, Fourier decay, "
                     "diophantine scans, Luroth systems, renewal checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, spec=True):
-        if spec:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.spec is not None:
             p.add_argument("--spec", help="path to a JSON job spec, or an inline JSON object")
         p.add_argument("--out", help="output CSV path; a JSON sidecar is written next to it")
         p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
                        help="enumeration cap (default %(default)s)")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads, at least 1; ${THREADS_ENV} overrides; "
-                            "validated but currently unused: every command runs "
-                            "single-threaded")
+                       help="accepted for compatibility, at least 1; every command "
+                            "runs single-threaded")
         p.add_argument("--seed", type=int, default=0,
                        help="random seed (default %(default)s)")
-
-    p = sub.add_parser("dim", help="solve the Moran equation")
-    common(p)
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("weights", help="natural weights at the solved dimension")
-    common(p)
-    p.set_defaults(func=_cmd_weights)
-
-    p = sub.add_parser("fourier-scan", help="transform values on a dyadic grid")
-    common(p)
-    p.add_argument("--t", type=float, default=12.0, help="stopping time (default %(default)s)")
-    p.add_argument("--xi-max", type=float, default=1e4, dest="xi_max",
-                   help="largest frequency (default %(default)s)")
-    p.add_argument("--points-per-octave", type=int, default=8, dest="points_per_octave",
-                   help="grid points per dyadic block (default %(default)s)")
-    p.set_defaults(func=_cmd_fourier_scan)
-
-    p = sub.add_parser("decay-fit", help="fit the envelope decay exponent")
-    common(p)
-    p.add_argument("--t", type=float, default=12.0, help="stopping time (default %(default)s)")
-    p.add_argument("--xi-max", type=float, default=1e4, dest="xi_max",
-                   help="largest frequency (default %(default)s)")
-    p.add_argument("--points-per-octave", type=int, default=8, dest="points_per_octave",
-                   help="grid points per dyadic block (default %(default)s)")
-    p.set_defaults(func=_cmd_decay_fit)
-
-    p = sub.add_parser("regularity", help="cylinder mass exponent scan")
-    common(p)
-    p.add_argument("--depth", type=int, default=8, help="scan depth (default %(default)s)")
-    p.set_defaults(func=_cmd_regularity)
-
-    p = sub.add_parser("diagonal", help="product-measure mass near the diagonal")
-    common(p)
-    p.add_argument("--delta", type=float, required=True, help="strip half-width")
-    p.add_argument("--depth", type=int, default=6, help="cylinder depth (default %(default)s)")
-    p.set_defaults(func=_cmd_diagonal)
-
-    p = sub.add_parser("dioph-scan", help="resonance gap scan of the log spectrum")
-    common(p)
-    p.add_argument("--l", type=float, default=None,
-                   help="power for the scaled gap; defaults to the two-digit "
-                        "degree for luroth specs")
-    p.add_argument("--b-max", type=float, default=1e4, dest="b_max",
-                   help="largest frequency (default %(default)s)")
-    p.add_argument("--grid", type=int, default=2048,
-                   help="uniform grid size before refinement (default %(default)s)")
-    p.set_defaults(func=_cmd_dioph_scan)
-
-    p = sub.add_parser("matveev", help="two-logarithm degree and constant")
-    common(p, spec=False)
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.set_defaults(func=_cmd_matveev)
-
-    p = sub.add_parser("luroth-encode", help="Luroth digits of a number")
-    common(p, spec=False)
-    p.add_argument("--x", required=True, help="number in (0,1], fraction or decimal string")
-    p.add_argument("--n", type=int, default=30, help="digit count (default %(default)s)")
-    p.set_defaults(func=_cmd_luroth_encode)
-
-    p = sub.add_parser("luroth-decode", help="number with the given Luroth digits")
-    common(p, spec=False)
-    p.add_argument("--digits", required=True, help="comma-separated digits, each >= 2")
-    p.set_defaults(func=_cmd_luroth_decode)
-
-    p = sub.add_parser("luroth-figure", help="exact retained intervals at a level")
-    common(p)
-    p.add_argument("--level", type=int, default=3, help="construction level (default %(default)s)")
-    p.set_defaults(func=_cmd_luroth_figure)
-
-    p = sub.add_parser("beta", help="closed-form decay exponents for a digit set")
-    common(p)
-    p.set_defaults(func=_cmd_beta)
-
-    p = sub.add_parser("renewal", help="overshoot expectation against its limit")
-    common(p)
-    p.add_argument("--t", type=float, default=30.0, help="crossing level (default %(default)s)")
-    p.add_argument("--samples", type=int, default=100000,
-                   help="Monte Carlo sample count (default %(default)s)")
-    p.add_argument("--s", type=float, default=0.3,
-                   help="phase strength of the test observable (default %(default)s)")
-    p.set_defaults(func=_cmd_renewal)
-
+        for names, kwargs in command.flags:
+            p.add_argument(*names, **kwargs)
     return parser
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run one parsed command: spec, summary line, then CSV and sidecar."""
+    started = time.monotonic()
+    if args.threads is not None and args.threads < 1:
+        raise InputError(f"thread count must be at least 1, got {args.threads}")
+    command = COMMANDS[args.command]
+    spec = None
+    if command.spec is not None:
+        spec = _load_spec(args)
+        if command.spec == "luroth" and spec.luroth_digits is None:
+            raise InputError("this command needs a {'luroth': [...]} spec")
+    summary, tables = command.run(args, spec)
+    print(args.command + " " + " ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
+    if args.out:
+        _write_artifacts(args, spec.sha256 if spec else None, summary, tables, started)
+    return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return _run(parser.parse_args(argv))
     except SelfsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_status

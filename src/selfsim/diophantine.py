@@ -141,8 +141,8 @@ def weakly_diophantine_scan(
     """
     if not (l > 0.0 and math.isfinite(l)):
         raise InputError(f"power must be positive and finite, got {l!r}")
-    if not (b_max > 1.0):
-        raise InputError(f"frequency ceiling must exceed 1, got {b_max!r}")
+    if not (b_max > 1.0 and math.isfinite(b_max)):
+        raise InputError(f"frequency ceiling must be finite and exceed 1, got {b_max!r}")
     if grid < 2:
         raise InputError(f"grid must have at least 2 points, got {grid!r}")
     spacing = (b_max - 1.0) / (grid - 1)
@@ -285,10 +285,23 @@ def lattice_test(lam: AuxiliaryMeasure) -> bool:
     return classify_lattice(lam) == "lattice"
 
 
+def _check_digits(digits) -> tuple[int, ...]:
+    """The digits as a tuple, each checked to be an integer at least 2.
+
+    Every element is checked before the caller may hash or sort them, so
+    a list or a string among the digits is an InputError, not a TypeError.
+    """
+    out = tuple(digits)
+    if not out:
+        raise InputError("need at least one digit")
+    for d in out:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+            raise InputError(f"digits must be integers at least 2, got {d!r}")
+    return out
+
+
 def _validate_digit_pair(a1: int, a2: int) -> None:
-    for a in (a1, a2):
-        if not isinstance(a, int) or isinstance(a, bool) or a < 2:
-            raise InputError(f"digits must be integers at least 2, got {a!r}")
+    _check_digits((a1, a2))
     if a1 == a2:
         raise InputError(f"digits must be distinct, got {a1!r} twice")
 
@@ -349,6 +362,5 @@ def perfect_power_free(a: int) -> bool:
     a*(a-1) sits strictly between (a-1)^2 and a^2, so squares never occur;
     the check still covers exponent 2 for uniformity.
     """
-    if not isinstance(a, int) or isinstance(a, bool) or a < 2:
-        raise InputError(f"argument must be an integer at least 2, got {a!r}")
+    _check_digits((a,))
     return not _is_perfect_power(a * (a - 1))

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError
 # stopping_words is unused here but stays importable under this name:
 # bench/child.py wraps selfsim.fourier.stopping_words when tracing, and
 # `--trace 1` fails with AttributeError without it.
-from .ifs import DEFAULT_WORD_CAP, WeightedIFS, stopping_words  # noqa: F401
+from .ifs import DEFAULT_WORD_CAP, WeightedIFS, _stopping_states, stopping_words  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,63 +56,6 @@ class DecayFit:
     window: tuple[float, float]
     residual_rms: float
     envelope: tuple[tuple[float, float], ...]
-
-
-def _stopping_states(
-    ifs: WeightedIFS, t: float, cap: int,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
-    """Internal nodes of the stopping tree at scale exp(-t), merged by symbol counts.
-
-    The subtree below a word depends only on its ratio product, which
-    depends only on how often each symbol occurs, so words with equal
-    symbol counts share one state.  States are discovered level by level
-    (word length); a child stays internal iff ratio * r_k > exp(-t), the
-    rule of stopping_words.  Level n is returned as (ratios, children):
-    the ratio product of each state with n symbols, and for each map k
-    the index of the child state at level n + 1, or -1 where the child is
-    a family word.
-
-    The family size is counted exactly from the number of tree nodes on
-    each state.  After each level, the words found so far plus the nodes
-    of the next level bound the family size from below, since each node
-    roots at least one word of its own; ResourceCapError is raised as soon
-    as that bound or the state count exceeds ``cap``.  With two or more
-    maps the state count stays below that bound.
-    """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InputError(f"stopping time must be positive and finite, got {t!r}")
-    if cap < 1:
-        raise InputError(f"word cap must be at least 1, got {cap!r}")
-    threshold = math.exp(-t)
-    ratios = [m.ratio for m in ifs.maps]
-    levels: list[tuple[np.ndarray, np.ndarray]] = []
-    # Symbol counts -> [index in level, ratio product, tree nodes].
-    frontier: dict[tuple[int, ...], list] = {(0,) * ifs.size: [0, 1.0, 1]}
-    states = words = 0
-    while frontier:
-        states += len(frontier)
-        below: dict[tuple[int, ...], list] = {}
-        children = np.full((len(frontier), ifs.size), -1, dtype=np.intp)
-        for i, (counts, (_, ratio, nodes)) in enumerate(frontier.items()):
-            for k, r_k in enumerate(ratios):
-                r = ratio * r_k
-                if r <= threshold:
-                    words += nodes
-                    continue
-                key = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
-                entry = below.get(key)
-                if entry is None:
-                    entry = below[key] = [len(below), r, 0]
-                entry[2] += nodes
-                children[i, k] = entry[0]
-        levels.append((np.array([e[1] for e in frontier.values()]), children))
-        bound = words + sum(e[2] for e in below.values())
-        if states > cap or bound > cap:
-            raise ResourceCapError(
-                f"stopping family for t={t!r} exceeds cap={cap} "
-                f"(at least {bound} words, {states} internal states)")
-        frontier = below
-    return levels, words
 
 
 def _family_sums(
@@ -248,18 +191,18 @@ def dyadic_scan(
     points_per_octave: int,
     t: float,
     cap: int = DEFAULT_WORD_CAP,
-    threads: int | None = None,
 ) -> tuple[tuple[SpectralSample, ...], tuple[EnvelopePoint, ...]]:
     """Evaluate the transform on a geometric grid and reduce to block maxima.
 
     Blocks start at the powers of two below ``xi_max``; inside the block
     [X, 2X) the grid points are X * 2^(j / points_per_octave).  Each block
     reports its maximum modulus and the largest per-sample error bound.
-    Every frequency is summed by one fold over the stopping states;
-    ``threads`` is accepted for compatibility and no longer splits work.
+    Every frequency is summed by one fold over the stopping states.
+    ``xi_max`` must keep the phases 2*pi*xi*x finite.
     """
-    if not (xi_max > 1.0):
-        raise InputError(f"frequency ceiling must exceed 1, got {xi_max!r}")
+    if not (xi_max > 1.0 and math.isfinite(TWO_PI * xi_max)):
+        raise InputError(
+            f"frequency ceiling must exceed 1 and keep 2*pi*xi_max finite, got {xi_max!r}")
     if points_per_octave < 1:
         raise InputError(
             f"need at least one point per octave, got {points_per_octave!r}")
@@ -289,18 +232,6 @@ def dyadic_scan(
         envelope.append(EnvelopePoint(float(x), max(abs(s.value) for s in block),
                                       float(errs.max())))
     return tuple(samples), tuple(envelope)
-
-
-def dyadic_envelope(
-    ifs: WeightedIFS,
-    xi_max: float,
-    points_per_octave: int,
-    t: float,
-    cap: int = DEFAULT_WORD_CAP,
-    threads: int | None = None,
-) -> tuple[EnvelopePoint, ...]:
-    """Maximum transform modulus over dyadic frequency blocks."""
-    return dyadic_scan(ifs, xi_max, points_per_octave, t, cap, threads)[1]
 
 
 def decay_fit(envelope) -> DecayFit:

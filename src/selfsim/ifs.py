@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InputError, ResourceCapError
 
 # Interval overlaps up to this length are treated as endpoint touching.
@@ -208,19 +210,68 @@ class StoppingFamily:
         return math.fsum(w.weight_product for w in self.words)
 
 
-def _moran_exponent_estimate(ratios: Sequence[float]) -> float:
-    # Crude bisection for the exponent with sum(r^s) = 1; only used to
-    # estimate family sizes in cap-overflow messages.
-    if len(ratios) == 1:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if sum(r ** mid for r in ratios) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _stopping_states(
+    ifs: WeightedIFS, t: float, cap: int,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+    """Internal nodes of the stopping tree at scale exp(-t), merged by symbol counts.
+
+    The subtree below a word depends only on its ratio product, which
+    depends only on how often each symbol occurs, so words with equal
+    symbol counts share one state.  States are discovered level by level
+    (word length); a child stays internal iff ratio * r_k > exp(-t).
+    Level n is returned as (ratios, children): the ratio product of each
+    state with n symbols, and for each map k the index of the child state
+    at level n + 1, or -1 where the child is a family word.  The second
+    value is the family size, counted exactly from the tree nodes on each
+    state.
+
+    ResourceCapError is raised iff the family size exceeds ``cap``.  When
+    the walk can meet at most ``cap`` states (K maps have C(n + K, K)
+    symbol-count vectors of length at most n), it runs to the end and the
+    error names the exact size.  Otherwise it stops at the first level
+    where the words found plus the nodes of the next level, each of which
+    roots a word of its own, exceed ``cap``; with two or more maps the
+    states met stay below that bound.  A single map has a one-word family
+    at depth about t / -log(ratio), whatever the cap.
+    """
+    if not (t > 0.0 and math.isfinite(t)):
+        raise InputError(f"stopping time must be positive and finite, got {t!r}")
+    if cap < 1:
+        raise InputError(f"word cap must be at least 1, got {cap!r}")
+    threshold = math.exp(-t)
+    ratios = [m.ratio for m in ifs.maps]
+    # Internal states have fewer than t / -log(max_ratio) symbols.
+    depth = int(t / -math.log(ifs.max_ratio)) + 1
+    exact = math.comb(depth + ifs.size, ifs.size) <= cap
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    # Symbol counts -> [index in level, ratio product, tree nodes].
+    frontier: dict[tuple[int, ...], list] = {(0,) * ifs.size: [0, 1.0, 1]}
+    words = 0
+    while frontier:
+        below: dict[tuple[int, ...], list] = {}
+        children = np.full((len(frontier), ifs.size), -1, dtype=np.intp)
+        for i, (counts, (_, ratio, nodes)) in enumerate(frontier.items()):
+            for k, r_k in enumerate(ratios):
+                r = ratio * r_k
+                if r <= threshold:
+                    words += nodes
+                    continue
+                key = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
+                entry = below.get(key)
+                if entry is None:
+                    entry = below[key] = [len(below), r, 0]
+                entry[2] += nodes
+                children[i, k] = entry[0]
+        levels.append((np.array([e[1] for e in frontier.values()]), children))
+        bound = words + sum(e[2] for e in below.values())
+        if bound > cap and not exact:
+            raise ResourceCapError(
+                f"stopping family for t={t!r} exceeds cap={cap} (at least {bound} words)")
+        frontier = below
+    if words > cap:
+        raise ResourceCapError(
+            f"stopping family for t={t!r} has {words} words, more than cap={cap}")
+    return levels, words
 
 
 def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> StoppingFamily:
@@ -237,13 +288,11 @@ def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> S
     current cylinder.  The family's cylinders are therefore nested below
     their prefixes and pairwise disjoint up to endpoints, which is what
     the measure decomposition over the family requires (it equals
-    compose_word of the reversed symbols).  Raises ResourceCapError when
-    more than ``cap`` words would be emitted.
+    compose_word of the reversed symbols).  The family is sized by
+    _stopping_states first, so ResourceCapError is raised when it has
+    more than ``cap`` words before any word is built.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InputError(f"stopping time must be positive and finite, got {t!r}")
-    if cap < 1:
-        raise InputError(f"word cap must be at least 1, got {cap!r}")
+    _stopping_states(ifs, t, cap)
     threshold = math.exp(-t)
     out: list[Word] = []
     # Stack entries: (symbols, ratio_product, weight_product, intercept);
@@ -253,12 +302,6 @@ def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> S
     while stack:
         syms, ratio, weight, intercept = stack.pop()
         if syms and ratio <= threshold:
-            if len(out) >= cap:
-                est = math.exp(_moran_exponent_estimate(
-                    [m.ratio for m in ifs.maps]) * t)
-                raise ResourceCapError(
-                    f"stopping family for t={t!r} exceeds cap={cap} "
-                    f"(size estimate about {est:.3g} words)")
             out.append(Word(syms, ratio, weight, ratio, intercept))
             continue
         for k in range(ifs.size - 1, -1, -1):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dimension import natural_weights, solve_moran
-from .diophantine import matveev_degree
+from .diophantine import _check_digits, matveev_degree
 from .errors import InputError, ResourceCapError
 from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS
 
@@ -29,35 +29,27 @@ class LurothDigits:
     terminating: bool
 
     def __post_init__(self) -> None:
-        if not self.digits:
-            raise InputError("digit sequence must be non-empty")
-        for d in self.digits:
-            if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-                raise InputError(f"Luroth digits must be integers at least 2, got {d!r}")
+        _check_digits(self.digits)
 
     def __len__(self) -> int:
         return len(self.digits)
 
 
 def _digit_set(digits: Iterable[int]) -> tuple[int, ...]:
-    out = sorted(set(digits))
-    if not out:
-        raise InputError("digit set must be non-empty")
-    for d in out:
-        if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-            raise InputError(f"Luroth digits must be integers at least 2, got {d!r}")
-    return tuple(out)
+    return tuple(sorted(set(_check_digits(digits))))
 
 
 def luroth_ifs(digits: Iterable[int], weights: Sequence[float] | None = None) -> WeightedIFS:
     """Weighted system whose maps are the Luroth contractions of the digits.
 
-    Digit d contributes ratio 1/(d*(d-1)) and translation 1/d.  Weights
-    default to uniform; level-1 intervals share only endpoints, so the
-    system always passes the disjointness check.
+    Digit d contributes ratio 1/(d*(d-1)) and translation 1/d, each the
+    correctly rounded float of the exact quotient.  Weights default to
+    uniform; level-1 intervals share only endpoints, so the system always
+    passes the disjointness check.  A digit whose ratio rounds to 0 is an
+    InputError.
     """
     ds = _digit_set(digits)
-    maps = tuple(Similitude(1.0 / (d * (d - 1)), 1.0 / d) for d in ds)
+    maps = tuple(Similitude(1 / (d * (d - 1)), 1 / d) for d in ds)
     if weights is None:
         weights = tuple(1.0 / len(ds) for _ in ds)
     return WeightedIFS(ds, maps, tuple(weights))
@@ -105,8 +97,7 @@ def luroth_decode(digits, exact: bool = False):
     lies within ``tail`` above it (the width of the prefix cylinder).
     Exact rationals are returned when ``exact`` is set, floats otherwise.
     """
-    seq = digits.digits if isinstance(digits, LurothDigits) else tuple(digits)
-    seq = LurothDigits(seq, False).digits  # reuse the digit validation
+    seq = _check_digits(digits.digits if isinstance(digits, LurothDigits) else digits)
     value = Fraction(0)
     scale = Fraction(1)
     for d in seq:

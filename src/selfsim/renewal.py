@@ -35,10 +35,14 @@ class PhaseTestFunction:
     """Smooth unimodular observable z -> exp(-2*pi*i*s*exp(-z)).
 
     Its derivative is bounded by 2*pi*|s|, so c1_bound dominates the
-    supremum of |g| plus |g'|.
+    supremum of |g| plus |g'|.  The strength must be finite.
     """
 
     s: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.s):
+            raise InputError(f"phase strength must be finite, got {self.s!r}")
 
     def __call__(self, z: float) -> complex:
         return complex(np.exp(-2j * math.pi * self.s * math.exp(-z)))
@@ -115,29 +119,22 @@ def _segment_integral(g, a: float, b: float) -> complex:
     return complex(re, im)
 
 
-def renewal_limit(lam: AuxiliaryMeasure, g, _subdivide: int = 0) -> complex:
+def renewal_limit(lam: AuxiliaryMeasure, g) -> complex:
     """Stationary overshoot expectation integral(g*p) / integral(p).
 
     p(z) is the survival function of the step law, a step function
     breaking at the atom locations, so both integrals reduce to segment
     integrals handled by the same adaptive quadrature; the constant
-    observable yields exactly 1.  ``_subdivide`` halves every segment
-    that many times, which leaves the exact value unchanged and exists to
-    let callers cross-check the quadrature.
+    observable yields exactly 1.
     """
     numerator = 0j
     denominator = 0j
     prev = 0.0
-    pieces = 2 ** max(0, int(_subdivide))
     for loc in lam.locations:
         # Survival is constant on [prev, loc); beyond the last atom it is 0.
         survival = lam.survival(prev)
-        edges = np.linspace(prev, loc, pieces + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            seg_g = _segment_integral(g, float(a), float(b))
-            seg_1 = _segment_integral(lambda z: 1.0, float(a), float(b))
-            numerator += survival * seg_g
-            denominator += survival * seg_1
+        numerator += survival * _segment_integral(g, prev, loc)
+        denominator += survival * _segment_integral(lambda z: 1.0, prev, loc)
         prev = loc
     return numerator / denominator
 

@@ -141,15 +141,13 @@ def test_fourier_scan_artifacts(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
-def test_threads_env_overrides(tmp_path, capsys, monkeypatch):
+def test_threads_flag_validated_and_env_ignored(capsys, monkeypatch):
     monkeypatch.setenv("SELFSIM_THREADS", "0")
-    code, _, err = run(["fourier-scan", "--spec", LUROTH_SPEC, "--t", "6",
-                        "--xi-max", "8"], capsys)
-    assert code == 2 and "thread count" in err
-    monkeypatch.setenv("SELFSIM_THREADS", "2")
     code, _, _ = run(["fourier-scan", "--spec", LUROTH_SPEC, "--t", "6",
                       "--xi-max", "8"], capsys)
     assert code == 0
+    code, _, err = run(["dim", "--spec", LUROTH_SPEC, "--threads", "0"], capsys)
+    assert code == 2 and "thread count" in err
 
 
 def test_luroth_commands(tmp_path, capsys):

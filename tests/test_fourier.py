@@ -14,7 +14,6 @@ from selfsim import (
     Similitude,
     WeightedIFS,
     decay_fit,
-    dyadic_envelope,
     dyadic_scan,
     mu_hat_cylinder,
     mu_hat_monte_carlo,
@@ -163,13 +162,6 @@ def test_dyadic_scan_structure(luroth23):
     for e in envelope:
         block = [abs(s.value) for s in samples if e.x <= s.xi < 2 * e.x]
         assert e.max_abs == max(block)
-    assert dyadic_envelope(luroth23, 128.0, 4, 9.0) == envelope
-
-
-def test_dyadic_scan_thread_count_is_immaterial(luroth23):
-    one = dyadic_scan(luroth23, 64.0, 3, 8.0, threads=1)
-    four = dyadic_scan(luroth23, 64.0, 3, 8.0, threads=4)
-    assert one == four
 
 
 def test_decay_fit_recovers_synthetic_exponent():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from selfsim import (
     WeightedIFS,
     compose_word,
     cylinder_interval,
+    mu_hat_cylinder,
     point_from_code,
     stopping_words,
     validate_disjointness,
@@ -172,6 +174,40 @@ def test_stopping_family_cap(luroth23):
     with pytest.raises(ResourceCapError) as err:
         stopping_words(luroth23, 12.0, cap=50)
     assert "cap" in str(err.value)
+
+
+CANTOR = WeightedIFS((0, 1), (Similitude(1 / 3, 0.0), Similitude(1 / 3, 2 / 3)), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("t", [12.0, 16.0])
+def test_stopping_family_cap_is_exact(luroth23, t):
+    for ifs in (luroth23, CANTOR):
+        size = len(stopping_words(ifs, t))
+        assert len(stopping_words(ifs, t, cap=size)) == size
+        with pytest.raises(ResourceCapError, match=f"has {size} words"):
+            stopping_words(ifs, t, cap=size - 1)
+
+
+def test_single_map_family_is_one_word_at_any_depth():
+    ifs = WeightedIFS((0,), (Similitude(0.5, 0.25),), (1.0,))
+    fam = stopping_words(ifs, 10.0, cap=1)
+    assert len(fam) == 1 and len(fam.words[0]) == 15
+    assert mu_hat_cylinder(ifs, 3.0, 10.0, cap=1).cost == 1
+    with pytest.raises(InputError):
+        stopping_words(ifs, 10.0, cap=0)
+
+
+def test_stopping_family_cap_checked_before_words_are_built(luroth23):
+    # 252 527 words at t=20; the state walk that sizes the family holds a
+    # few hundred entries, and no Word is built before the error.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="has 252527 words"):
+            stopping_words(luroth23, 20.0, cap=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_stopping_family_rejects_bad_t(luroth23):

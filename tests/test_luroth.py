@@ -106,6 +106,10 @@ def test_digit_round_trip_through_cylinder_endpoint():
 def test_digits_validation():
     with pytest.raises(InputError):
         LurothDigits((2, 1), False)
+    # Each digit is checked before the set is hashed and sorted.
+    for bad in ([[2]], ["a", 2], [], [2, 10 ** 400]):
+        with pytest.raises(InputError):
+            luroth_ifs(bad)
     LurothDigits((5, 7, 2), False)
 
 

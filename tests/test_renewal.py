@@ -58,8 +58,6 @@ def test_renewal_limit_golden(luroth_lambda):
     g = phase_test_function(0.3)
     value = renewal_limit(luroth_lambda, g)
     assert value == pytest.approx(LIMIT_LUROTH23_S03, abs=1e-14)
-    refined = renewal_limit(luroth_lambda, g, _subdivide=2)
-    assert abs(value - refined) <= 1e-12
 
 
 @pytest.mark.parametrize("digits", [(2, 3), (2, 3, 5, 7)])
