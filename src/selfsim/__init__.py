@@ -51,7 +51,6 @@ from .ifs import (
     WeightedIFS,
     Word,
     compose_word,
-    cylinder_interval,
     point_from_code,
     stopping_words,
     validate_disjointness,
@@ -114,7 +113,6 @@ __all__ = [
     "classify_ratio",
     "compose_word",
     "continued_fraction_expansion",
-    "cylinder_interval",
     "cylinder_mass",
     "decay_fit",
     "diagonal_mass",

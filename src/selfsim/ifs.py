@@ -2,15 +2,18 @@
 
 An instance is a finite alphabet of contractions x -> r*x + b together with
 strictly positive probability weights.  Finite words over the alphabet
-compose to affine maps whose images are the cylinder intervals; the
-stopping families enumerated here are the prefix-free word sets on which
-all downstream mass and Fourier computations are built.
+compose to affine maps whose images are the cylinder intervals.  Every
+cylinder family is built level by level from one refinement step,
+_refine; the stopping family at scale exp(-t) is decided once, by
+_stopping_states, and is the prefix-free word set on which the Fourier
+sums are built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,24 +110,29 @@ class WeightedIFS:
 
 @dataclass(frozen=True)
 class Word:
-    """A finite word with a composed affine map and its product quantities.
+    """A finite word with the cylinder of its composed map and its products.
 
-    ``slope`` and ``intercept`` describe a composition of the symbol maps
-    as x -> slope * x + intercept, so the word's cylinder interval is
-    [intercept, intercept + slope].  Two composition orders appear in this
-    module and both are products of the same maps, so ratio_product and
-    weight_product are order-free; see compose_word and stopping_words
-    for which order each constructor uses.
+    The composed map is x -> ratio_product * x + intercept, so the word's
+    cylinder is ``interval`` = [intercept, intercept + ratio_product].
+    Families of words (stopping_words and the level frontiers of
+    measure) compose in refinement order: the first symbol acts
+    outermost and each appended symbol subdivides the current cylinder.
+    compose_word alone composes in orbit order.  ratio_product and
+    weight_product are products of the same factors in either order.
     """
 
     symbols: tuple
     ratio_product: float
     weight_product: float
-    slope: float
     intercept: float
 
     def __len__(self) -> int:
         return len(self.symbols)
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        """Image of [0,1] under the word's composed map."""
+        return (self.intercept, self.intercept + self.ratio_product)
 
 
 def compose_word(ifs: WeightedIFS, symbols: Iterable) -> Word:
@@ -133,23 +141,18 @@ def compose_word(ifs: WeightedIFS, symbols: Iterable) -> Word:
     The first symbol's map is applied first, so later symbols act
     outermost: the word (a, b) composes to map_b after map_a.  This is the
     order in which a trajectory visits the maps.  The refinement order
-    used for cylinder decompositions is the reverse; see stopping_words.
+    used for cylinder families is the reverse; see Word.
     """
     syms = tuple(symbols)
-    slope = 1.0
+    ratio = 1.0
     intercept = 0.0
     weight = 1.0
     for s in syms:
         m = ifs.map_for(s)
-        slope *= m.ratio
+        ratio *= m.ratio
         intercept = m.ratio * intercept + m.translation
         weight *= ifs.weight_for(s)
-    return Word(syms, slope, weight, slope, intercept)
-
-
-def cylinder_interval(ifs: WeightedIFS, word: Word) -> tuple[float, float]:
-    """Image of [0,1] under the word's composed map."""
-    return (word.intercept, word.intercept + word.slope)
+    return Word(syms, ratio, weight, intercept)
 
 
 def point_from_code(ifs: WeightedIFS, symbols: Iterable) -> tuple[float, float]:
@@ -164,7 +167,7 @@ def point_from_code(ifs: WeightedIFS, symbols: Iterable) -> tuple[float, float]:
     if not syms:
         raise InputError("need at least one symbol to locate a point")
     word = compose_word(ifs, reversed(syms))
-    return (word.intercept + 0.5 * word.slope, 0.5 * word.slope)
+    return (word.intercept + 0.5 * word.ratio_product, 0.5 * word.ratio_product)
 
 
 @dataclass(frozen=True)
@@ -274,42 +277,55 @@ def _stopping_states(
     return levels, words
 
 
+def _refine(
+    ifs: WeightedIFS, lo: np.ndarray, width: np.ndarray, mass: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Children of the cylinders [lo, lo + width] with the given masses.
+
+    Child k of a cylinder is its image under map k, composed in refinement
+    order: lo + width * b_k, width * r_k and mass * p_k.  The children come
+    parent by parent, in alphabet order within a parent, as flat arrays
+    (lo, width, mass), so refining the level-n words in lexicographic order
+    gives the level-(n + 1) words in lexicographic order.
+    """
+    b = np.array([m.translation for m in ifs.maps])
+    r = np.array([m.ratio for m in ifs.maps])
+    return ((lo[:, None] + width[:, None] * b).ravel(), np.outer(width, r).ravel(),
+            np.outer(mass, ifs.weights).ravel())
+
+
 def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> StoppingFamily:
     """Enumerate the minimal words with contraction factor at most exp(-t).
 
-    A word is emitted exactly when its ratio product drops to exp(-t) or
-    below while every proper prefix stays above, so the family is
-    prefix-free, carries total weight 1, and every ratio product lies in
-    (min_ratio * exp(-t), exp(-t)].  Words are produced in depth-first
-    order following the alphabet order.
+    The family is the one _stopping_states decides: a child of an internal
+    node is a word exactly when its state table marks it so, and its ratio
+    product is the table's product ratio[state] * r_k, the very number
+    compared with exp(-t).  The family is therefore prefix-free, carries
+    total weight 1, every ratio product lies in (min_ratio * exp(-t),
+    exp(-t)], and its size equals mu_hat_cylinder's ``cost`` at every t.
+    Words come out in level order: by length, and lexicographically in
+    the alphabet order within one length.
 
-    The affine data of each word composes the maps in refinement order:
-    the first symbol acts outermost, each appended symbol subdivides the
-    current cylinder.  The family's cylinders are therefore nested below
-    their prefixes and pairwise disjoint up to endpoints, which is what
-    the measure decomposition over the family requires (it equals
-    compose_word of the reversed symbols).  The family is sized by
-    _stopping_states first, so ResourceCapError is raised when it has
-    more than ``cap`` words before any word is built.
+    The affine data of each word composes the maps in refinement order
+    (see Word), so the family's cylinders are nested below their prefixes
+    and pairwise disjoint up to endpoints, which is what the measure
+    decomposition over the family requires.  ResourceCapError is raised
+    when the family has more than ``cap`` words, before any word is built.
     """
-    _stopping_states(ifs, t, cap)
-    threshold = math.exp(-t)
+    levels, _ = _stopping_states(ifs, t, cap)
     out: list[Word] = []
-    # Stack entries: (symbols, ratio_product, weight_product, intercept);
-    # the refinement-order slope equals the ratio product.  Root
-    # descendants pushed in reverse so alphabet order pops first.
-    stack: list[tuple[tuple, float, float, float]] = [((), 1.0, 1.0, 0.0)]
-    while stack:
-        syms, ratio, weight, intercept = stack.pop()
-        if syms and ratio <= threshold:
-            out.append(Word(syms, ratio, weight, ratio, intercept))
-            continue
-        for k in range(ifs.size - 1, -1, -1):
-            m = ifs.maps[k]
-            stack.append((
-                syms + (ifs.symbols[k],),
-                ratio * m.ratio,
-                weight * ifs.weights[k],
-                intercept + ratio * m.translation,
-            ))
+    # The internal nodes of one level: state index, symbols, cylinder start, mass.
+    state = np.zeros(1, dtype=np.intp)
+    syms: list[tuple] = [()]
+    lo, mass = np.zeros(1), np.ones(1)
+    for ratio, children in levels:
+        lo, width, mass = _refine(ifs, lo, ratio[state], mass)
+        state = children[state].ravel()
+        syms = [s + (a,) for s in syms for a in ifs.symbols]
+        word = state < 0
+        out.extend(map(Word, compress(syms, word), width[word].tolist(),
+                       mass[word].tolist(), lo[word].tolist()))
+        inner = ~word
+        state, lo, mass = state[inner], lo[inner], mass[inner]
+        syms = list(compress(syms, inner))
     return StoppingFamily(t, tuple(out))

@@ -125,18 +125,12 @@ def figure_intervals(
     total = len(ds) ** level
     if total > cap:
         raise ResourceCapError(f"level {level} needs {total} intervals, cap={cap}")
-    intervals = []
-    stack: list[tuple[int, Fraction, Fraction]] = [(0, Fraction(1), Fraction(0))]
-    while stack:
-        depth, slope, intercept = stack.pop()
-        if depth == level:
-            intervals.append((intercept, intercept + slope))
-            continue
-        for d in ds:
-            r = Fraction(1, d * (d - 1))
-            stack.append((depth + 1, slope * r, r * intercept + Fraction(1, d)))
-    intervals.sort()
-    return tuple(intervals)
+    maps = [(Fraction(1, d * (d - 1)), Fraction(1, d)) for d in ds]
+    # (start, width) of each cylinder, refined one level at a time.
+    cylinders = [(Fraction(0), Fraction(1))]
+    for _ in range(level):
+        cylinders = [(lo + width * b, width * r) for lo, width in cylinders for r, b in maps]
+    return tuple(sorted((lo, lo + width) for lo, width in cylinders))
 
 
 def _two_smallest(digits: Iterable[int]) -> tuple[int, int]:

@@ -1,7 +1,9 @@
 """Mass queries against the self-similar measure of a weighted system.
 
 The measure assigns each cylinder its word's weight product.  Interval
-masses are bracketed by depth-limited tree walks, and the regularity scan
+and diagonal masses are bracketed over cylinder families built level by
+level with the one refinement step of the ifs module, so every family
+composes the maps in refinement order (see Word).  The regularity scan
 measures how cylinder mass scales with cylinder length, which is the
 exponent controlling interval masses up to an explicit constant.
 """
@@ -15,7 +17,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceCapError
-from .ifs import DEFAULT_WORD_CAP, WeightedIFS, Word, validate_disjointness
+from .ifs import DEFAULT_WORD_CAP, WeightedIFS, Word, _refine, validate_disjointness
 
 
 def cylinder_mass(ifs: WeightedIFS, word: Word) -> float:
@@ -39,7 +41,9 @@ def interval_mass_bounds(
     endpoint are excluded from the upper bound, matching measures without
     atoms at cylinder endpoints; a single-map system concentrates mass at
     one point and may escape the bracket when that point is an endpoint.
-    Deeper walks can only tighten the bracket.
+    Deeper walks can only tighten the bracket.  Only cylinders partly
+    inside the interval are refined; the nodes built, counted from the
+    root, are checked against ``cap`` before each level is built.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (a <= b):
@@ -49,37 +53,22 @@ def interval_mass_bounds(
     if depth < 0:
         raise InputError(f"depth must be nonnegative, got {depth!r}")
     lower = 0.0
-    upper = 0.0
-    visited = 0
-    # Stack entries: (level, slope, intercept, mass).
-    stack = [(0, 1.0, 0.0, 1.0)]
-    while stack:
-        level, slope, intercept, mass = stack.pop()
-        visited += 1
-        if visited > cap:
-            raise ResourceCapError(
-                f"interval walk exceeded cap={cap} nodes at depth {depth}")
-        lo, hi = intercept, intercept + slope
-        if min(hi, b) - max(lo, a) <= 0.0:
-            continue
-        if lo >= a and hi <= b:
-            lower += mass
-            upper += mass
-            continue
+    lo, width, mass = np.zeros(1), np.ones(1), np.ones(1)
+    nodes = 1
+    for level in range(depth + 1):
+        hi = lo + width
+        meets = np.minimum(hi, b) - np.maximum(lo, a) > 0.0
+        inside = meets & (lo >= a) & (hi <= b)
+        partial = meets & ~inside
+        lower += float(mass[inside].sum())
         if level == depth:
-            upper += mass
-            continue
-        for k in range(ifs.size):
-            m = ifs.maps[k]
-            # Children refine the parent cylinder, so the parent's affine
-            # map is applied outermost.
-            stack.append((
-                level + 1,
-                slope * m.ratio,
-                intercept + slope * m.translation,
-                mass * ifs.weights[k],
-            ))
-    return (lower, upper)
+            break
+        nodes += ifs.size * int(partial.sum())
+        if nodes > cap:
+            raise ResourceCapError(
+                f"interval walk needs at least {nodes} nodes at depth {depth}, cap={cap}")
+        lo, width, mass = _refine(ifs, lo[partial], width[partial], mass[partial])
+    return (lower, lower + float(mass[partial].sum()))
 
 
 @dataclass(frozen=True)
@@ -166,8 +155,9 @@ def diagonal_mass(
     Level-``depth`` cylinder pairs are classified by interval distance:
     pairs whose intervals come within ``delta`` of each other feed the
     upper bound, pairs that satisfy the condition for every pair of their
-    points feed the lower bound.  A sorted sweep skips pairs separated by
-    more than ``delta``.
+    points feed the lower bound.  The cylinders are sorted by left end,
+    one searchsorted finds the pairs within ``delta`` of each other, and
+    their number is checked against ``cap`` before the sweep over them.
     """
     if not (delta > 0.0):
         raise InputError(f"strip half-width must be positive, got {delta!r}")
@@ -177,46 +167,25 @@ def diagonal_mass(
     if count > cap:
         raise ResourceCapError(
             f"diagonal walk needs {count} level-{depth} cylinders, cap={cap}")
-    lo = np.empty(count)
-    width = np.empty(count)
-    mass = np.empty(count)
-    idx = 0
-    stack = [(0, 1.0, 0.0, 1.0)]
-    while stack:
-        level, slope, intercept, w = stack.pop()
-        if level == depth:
-            lo[idx] = intercept
-            width[idx] = slope
-            mass[idx] = w
-            idx += 1
-            continue
-        for k in range(ifs.size):
-            m = ifs.maps[k]
-            # Full enumeration without pruning: either composition order
-            # produces the same multiset of level-`depth` cylinders.
-            stack.append((level + 1, slope * m.ratio,
-                          m.ratio * intercept + m.translation, w * ifs.weights[k]))
+    lo, width, mass = np.zeros(1), np.ones(1), np.ones(1)
+    for _ in range(depth):
+        lo, width, mass = _refine(ifs, lo, width, mass)
     order = np.argsort(lo, kind="stable")
     lo = lo[order]
     hi = lo + width[order]
     mass = mass[order]
-
-    upper = 0.0
-    lower = 0.0
+    # Cylinder i comes within delta of cylinders i + 1 .. ends[i] - 1.
+    ends = np.searchsorted(lo, hi + delta, side="right")
+    later = ends - np.arange(1, count + 1)
+    pairs = count + int(later[later > 0].sum())
+    if pairs > cap:
+        raise ResourceCapError(
+            f"diagonal walk needs {pairs} level-{depth} cylinder pairs, cap={cap}")
     # Diagonal pairs: both points in one cylinder, so distance <= width.
-    upper += float(np.dot(mass, mass))
-    ok = hi - lo <= delta
-    lower += float(np.sum(mass[ok] ** 2))
-    pairs = count
-    for i in range(count):
-        j_end = int(np.searchsorted(lo, hi[i] + delta, side="right"))
-        if j_end <= i + 1:
-            continue
-        pairs += j_end - (i + 1)
-        if pairs > cap:
-            raise ResourceCapError(
-                f"diagonal walk exceeded cap={cap} cylinder pairs")
-        sl = slice(i + 1, j_end)
+    upper = float(np.dot(mass, mass))
+    lower = float(np.sum(mass[hi - lo <= delta] ** 2))
+    for i in np.flatnonzero(later > 0):
+        sl = slice(i + 1, ends[i])
         upper += 2.0 * mass[i] * float(np.sum(mass[sl]))
         good = np.maximum(hi[sl] - lo[i], hi[i] - lo[sl]) <= delta
         lower += 2.0 * mass[i] * float(np.dot(mass[sl], good))

@@ -28,6 +28,8 @@ from .errors import InputError, PreconditionError
 # Fixed Monte Carlo chunk; the sample stream is a pure function of
 # (seed, chunk index), so totals do not depend on scheduling.
 _CHUNK = 1 << 16
+# Most step draws held at once while sampling a chunk.
+_BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,14 @@ def _chunk_overshoots(
     steps = int(math.ceil(t / float(locs.min()))) + 2
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    draws = rng.choice(len(locs), size=(count, steps), p=probs)
-    sums = np.cumsum(locs[draws], axis=1)
-    first = np.argmax(sums >= t, axis=1)
-    return sums[np.arange(count), first] - t
+    rows = max(1, _BLOCK_ENTRIES // steps)
+    out = np.empty(count)
+    # Row blocks read the same stream as one (count, steps) draw would.
+    for start in range(0, count, rows):
+        n = min(rows, count - start)
+        sums = np.cumsum(locs[rng.choice(len(locs), size=(n, steps), p=probs)], axis=1)
+        out[start:start + n] = sums[np.arange(n), np.argmax(sums >= t, axis=1)] - t
+    return out
 
 
 def sample_overshoot(lam: AuxiliaryMeasure, t: float, seed: int) -> float:

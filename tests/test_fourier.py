@@ -48,7 +48,7 @@ def ninety():
 def enumerated_sum(ifs, xi, t):
     """Midpoint rule summed word by word over the enumerated stopping family."""
     words = stopping_words(ifs, t).words
-    mid = np.array([w.intercept + 0.5 * w.slope for w in words])
+    mid = np.array([w.intercept + 0.5 * w.ratio_product for w in words])
     wts = np.array([w.weight_product for w in words])
     terms = wts * np.exp((-2j * math.pi * xi) * mid)
     return complex(math.fsum(terms.real), math.fsum(terms.imag)), len(words)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_disjoint_ifs
 from oracles import bfs_stopping_words
@@ -12,7 +14,6 @@ from selfsim import (
     Similitude,
     WeightedIFS,
     compose_word,
-    cylinder_interval,
     mu_hat_cylinder,
     point_from_code,
     stopping_words,
@@ -62,9 +63,9 @@ def test_weighted_ifs_validation():
 def test_compose_word_applies_first_symbol_first(luroth23):
     # Word (2,3): apply the digit-2 map, then the digit-3 map on top.
     word = compose_word(luroth23, (2, 3))
-    assert word.slope == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert word.ratio_product == pytest.approx(1.0 / 12.0, abs=1e-15)
     assert word.intercept == pytest.approx(5.0 / 12.0, abs=1e-15)
-    lo, hi = cylinder_interval(luroth23, word)
+    lo, hi = word.interval
     assert (lo, hi) == pytest.approx((5.0 / 12.0, 0.5), abs=1e-15)
 
 
@@ -127,7 +128,7 @@ def test_stopping_family_golden(luroth23):
         (3, 3): (7 / 18, 5 / 12),
     }
     for syms, (lo, hi) in intervals.items():
-        got_lo, got_hi = cylinder_interval(luroth23, words[syms])
+        got_lo, got_hi = words[syms].interval
         assert got_lo == pytest.approx(lo, abs=1e-14)
         assert got_hi == pytest.approx(hi, abs=1e-14)
     assert fam.total_weight == pytest.approx(1.0, abs=1e-12)
@@ -162,10 +163,41 @@ def test_stopping_family_properties(luroth23):
             assert r_min * threshold < w.ratio_product <= threshold
 
 
+def assert_family_at_tie(rng):
+    # t = -log of a word's ratio product puts exp(-t) on a product that
+    # words with the same symbol counts reach in different float orders.
+    ifs = random_disjoint_ifs(rng, max_maps=3)
+    word = rng.integers(0, ifs.size, size=int(rng.integers(2, 8)))
+    t = -math.log(math.prod(ifs.maps[k].ratio for k in word))
+    fam = stopping_words(ifs, t)
+    assert len(fam) == mu_hat_cylinder(ifs, 1.0, t).cost
+    symbol_lists = sorted(w.symbols for w in fam.words)
+    for a, b in zip(symbol_lists, symbol_lists[1:]):
+        assert a != b[: len(a)], "family must be prefix-free"
+    assert fam.total_weight == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stopping_family_size_is_cost_at_ties():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        assert_family_at_tie(rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_stopping_family_size_is_cost_at_ties_property(seed):
+    assert_family_at_tie(np.random.default_rng(seed))
+
+
+def test_stopping_family_level_order(luroth23):
+    words = [w.symbols for w in stopping_words(luroth23, 6.0).words]
+    assert words == sorted(words, key=lambda syms: (len(syms), syms))
+
+
 def test_stopping_family_nested_intervals(luroth23):
     # Distinct family cylinders only meet at endpoints.
     fam = stopping_words(luroth23, 4.0)
-    spans = sorted(cylinder_interval(luroth23, w) for w in fam.words)
+    spans = sorted(w.interval for w in fam.words)
     for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
         assert hi1 <= lo2 + 1e-12
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -123,3 +124,39 @@ def test_diagonal_mass_validation(luroth23):
         diagonal_mass(luroth23, -0.1, 4)
     with pytest.raises(ResourceCapError):
         diagonal_mass(luroth23, 0.1, 30, cap=1000)
+
+
+def test_interval_mass_cap_is_exact(luroth23):
+    # Count the nodes the walk builds: the root, then every child of each
+    # cylinder that is partly inside the interval above the last level.
+    a, b, depth = 0.3, 0.7, 9
+    nodes = 1
+    lo, hi = [0.0], [1.0]
+    for _ in range(depth):
+        partial = [(x, y) for x, y in zip(lo, hi) if min(y, b) > max(x, a)
+                   and not (x >= a and y <= b)]
+        nodes += luroth23.size * len(partial)
+        lo = [x + (y - x) * m.translation for x, y in partial for m in luroth23.maps]
+        hi = [x + (y - x) * (m.translation + m.ratio) for x, y in partial
+              for m in luroth23.maps]
+    assert interval_mass_bounds(luroth23, (a, b), depth, cap=nodes) == \
+        interval_mass_bounds(luroth23, (a, b), depth)
+    with pytest.raises(ResourceCapError, match=f"at least {nodes} nodes"):
+        interval_mass_bounds(luroth23, (a, b), depth, cap=nodes - 1)
+
+
+def test_diagonal_mass_pair_cap_is_exact(luroth23):
+    delta, depth = 0.05, 6
+    spans = sorted(w.interval for w in _level_words(luroth23, depth))
+    # A cylinder pairs with itself and with every later one starting
+    # within delta of its right end.
+    pairs = sum(1 + sum(lo2 <= hi + delta for lo2, _ in spans[i + 1:])
+                for i, (_, hi) in enumerate(spans))
+    assert pairs > len(spans)
+    assert diagonal_mass(luroth23, delta, depth, cap=pairs) == diagonal_mass(luroth23, delta, depth)
+    with pytest.raises(ResourceCapError, match=f"needs {pairs} level-{depth} cylinder pairs"):
+        diagonal_mass(luroth23, delta, depth, cap=pairs - 1)
+
+
+def _level_words(ifs, depth):
+    return [compose_word(ifs, syms) for syms in product(ifs.symbols, repeat=depth)]

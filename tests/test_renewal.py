@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from selfsim import (
     sample_overshoot,
 )
 from selfsim.luroth import luroth_natural_ifs
+from selfsim.renewal import _CHUNK, _chunk_overshoots
 
 # Limit value of E exp(0.3i * overshoot) for the Luroth {2,3} walk, frozen
 # from the quadrature path and cross-checked by interval subdivision.
@@ -123,3 +125,19 @@ def test_renewal_validation(luroth_lambda):
                                n_samples=500, seed=1)
     with pytest.raises(InputError):
         sample_overshoot(luroth_lambda, 0.0, seed=1)
+
+
+def test_chunk_memory_stays_bounded_for_long_walks():
+    # Steps of -log(0.9) need 287 draws per walker to cross t = 30, so one
+    # chunk drawn at once holds about 500 MB; row blocks keep it small.
+    ifs = WeightedIFS((0, 1), (Similitude(0.9, 0.0), Similitude(0.05, 0.95)), (0.5, 0.5))
+    lam = auxiliary_measure(ifs)
+    tracemalloc.start()
+    try:
+        overshoots = _chunk_overshoots(lam, 30.0, 5, 0, _CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(overshoots) == _CHUNK
+    assert np.all((overshoots >= 0.0) & (overshoots < -math.log(0.05)))
+    assert peak < 100 * 2 ** 20
