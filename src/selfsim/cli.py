@@ -364,7 +364,8 @@ def _beta(args, spec):
 def _renewal(args, spec):
     lam = auxiliary_measure(spec.ifs)
     g = phase_test_function(args.s)
-    result = renewal_expectation_mc(lam, g, args.t, args.samples, args.seed)
+    result = renewal_expectation_mc(lam, g, args.t, args.samples, args.seed,
+                                    cap=args.cap)
     summary = {
         "t": result.t,
         "mc_re": result.mc_estimate.real,

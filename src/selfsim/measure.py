@@ -19,6 +19,9 @@ import numpy as np
 from .errors import InputError, PreconditionError, ResourceCapError
 from .ifs import DEFAULT_WORD_CAP, WeightedIFS, Word, _refine, validate_disjointness
 
+# Most cylinder pairs held at once by the diagonal sweep.
+_PAIR_ENTRIES = 1 << 18
+
 
 def cylinder_mass(ifs: WeightedIFS, word: Word) -> float:
     """Mass of the word's cylinder: the product of its symbol weights."""
@@ -158,6 +161,9 @@ def diagonal_mass(
     points feed the lower bound.  The cylinders are sorted by left end,
     one searchsorted finds the pairs within ``delta`` of each other, and
     their number is checked against ``cap`` before the sweep over them.
+    The sweep takes whole rows of pairs in blocks and adds their terms in
+    cylinder order; no BLAS reduction is involved, so the bits do not
+    depend on the BLAS thread count.
     """
     if not (delta > 0.0):
         raise InputError(f"strip half-width must be positive, got {delta!r}")
@@ -177,16 +183,32 @@ def diagonal_mass(
     # Cylinder i comes within delta of cylinders i + 1 .. ends[i] - 1.
     ends = np.searchsorted(lo, hi + delta, side="right")
     later = ends - np.arange(1, count + 1)
-    pairs = count + int(later[later > 0].sum())
+    rows = np.flatnonzero(later > 0)
+    lengths = later[rows]
+    pairs = count + int(lengths.sum())
     if pairs > cap:
         raise ResourceCapError(
             f"diagonal walk needs {pairs} level-{depth} cylinder pairs, cap={cap}")
     # Diagonal pairs: both points in one cylinder, so distance <= width.
-    upper = float(np.dot(mass, mass))
+    upper = float(np.sum(mass * mass))
     lower = float(np.sum(mass[hi - lo <= delta] ** 2))
-    for i in np.flatnonzero(later > 0):
-        sl = slice(i + 1, ends[i])
-        upper += 2.0 * mass[i] * float(np.sum(mass[sl]))
-        good = np.maximum(hi[sl] - lo[i], hi[i] - lo[sl]) <= delta
-        lower += 2.0 * mass[i] * float(np.dot(mass[sl], good))
+    done = np.cumsum(lengths)
+    start = 0
+    while start < len(rows):
+        # Whole rows of at most _PAIR_ENTRIES pairs (a longer row alone).
+        base = done[start] - lengths[start]
+        stop = max(start + 1, int(np.searchsorted(done, base + _PAIR_ENTRIES, side="right")))
+        i, n = rows[start:stop], lengths[start:stop]
+        first = done[start:stop] - n - base
+        left = np.repeat(i, n)
+        right = np.arange(len(left)) - np.repeat(first - i - 1, n)
+        m = mass[right]
+        good = np.maximum(hi[right] - lo[left], hi[left] - lo[right]) <= delta
+        twice = 2.0 * mass[i]
+        # Row terms are added one after another, as a loop over rows would.
+        upper = float(np.add.accumulate(
+            np.concatenate(([upper], twice * np.add.reduceat(m, first))))[-1])
+        lower = float(np.add.accumulate(
+            np.concatenate(([lower], twice * np.add.reduceat(m * good, first))))[-1])
+        start = stop
     return (lower, upper)

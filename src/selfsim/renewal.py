@@ -23,13 +23,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from .diophantine import AuxiliaryMeasure, lattice_test
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, ResourceCapError
+from .ifs import DEFAULT_WORD_CAP
 
 # Fixed Monte Carlo chunk; the sample stream is a pure function of
 # (seed, chunk index), so totals do not depend on scheduling.
 _CHUNK = 1 << 16
 # Most step draws held at once while sampling a chunk.
-_BLOCK_ENTRIES = 1 << 21
+_BLOCK_ENTRIES = 1 << 19
+# Steps taken at a time by the walkers that have not crossed yet.
+_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,23 @@ class RenewalResult:
     lattice: bool
 
 
+def _walk_length(lam: AuxiliaryMeasure, t: float) -> int:
+    """Steps drawn per walker: enough that all-smallest-step walks cross t."""
+    return math.ceil(t / min(lam.locations)) + 2
+
+
+def _check_walk(lam: AuxiliaryMeasure, t: float, walkers: int, cap: int) -> None:
+    """Reject a bad level, or a chunk whose step draws would exceed ``cap``."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise InputError(f"crossing level must be positive and finite, got {t!r}")
+    steps = _walk_length(lam, t)
+    draws = steps * min(walkers, _CHUNK)
+    if draws > cap:
+        raise ResourceCapError(
+            f"renewal walk needs {steps} steps per walker, {draws} step draws "
+            f"per chunk, cap={cap}")
+
+
 def _chunk_overshoots(
     lam: AuxiliaryMeasure,
     t: float,
@@ -90,24 +110,53 @@ def _chunk_overshoots(
     locs = np.array(lam.locations)
     probs = np.array(lam.masses)
     probs = probs / probs.sum()
-    # Enough steps that even all-smallest-step walks cross t.
-    steps = int(math.ceil(t / float(locs.min()))) + 2
+    # Generator.choice(K, size, p) builds this cdf, draws random(size) and
+    # returns cdf.searchsorted(u, side="right"), the number of cdf entries
+    # <= u.  The last entry is exactly 1 > u, so counting u >= cdf[k] over
+    # the others reads the same uniforms into the same atoms.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    steps = _walk_length(lam, t)
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     rows = max(1, _BLOCK_ENTRIES // steps)
     out = np.empty(count)
     # Row blocks read the same stream as one (count, steps) draw would.
     for start in range(0, count, rows):
-        n = min(rows, count - start)
-        sums = np.cumsum(locs[rng.choice(len(locs), size=(n, steps), p=probs)], axis=1)
-        out[start:start + n] = sums[np.arange(n), np.argmax(sums >= t, axis=1)] - t
+        u = rng.random((min(rows, count - start), steps))
+        live = np.arange(len(u))
+        pos = np.zeros(len(u))
+        for col in range(0, steps, _PANEL):
+            panel = u[live, col:col + _PANEL]
+            atom = np.zeros(panel.shape, dtype=np.min_scalar_type(len(locs) - 1))
+            for c in cdf[:-1]:
+                atom += panel >= c
+            # One row per step, summed row after row (several times faster
+            # than cumsum here).  The carried position enters the first
+            # step, so every partial sum is the one a cumsum over the
+            # whole walk gives.
+            walk = locs.take(atom.T)
+            walk[0] += pos
+            for j in range(1, len(walk)):
+                np.add(walk[j - 1], walk[j], out=walk[j])
+            crossed = walk[-1] >= t
+            hit = walk[:, crossed]
+            first = np.argmax(hit >= t, axis=0)
+            out[start + live[crossed]] = hit[first, np.arange(len(first))] - t
+            live, pos = live[~crossed], walk[-1, ~crossed]
+            if not len(live):
+                break
     return out
 
 
-def sample_overshoot(lam: AuxiliaryMeasure, t: float, seed: int) -> float:
-    """One overshoot of the level-t first crossing, deterministic in the seed."""
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InputError(f"crossing level must be positive and finite, got {t!r}")
+def sample_overshoot(
+    lam: AuxiliaryMeasure, t: float, seed: int, cap: int = DEFAULT_WORD_CAP,
+) -> float:
+    """One overshoot of the level-t first crossing, deterministic in the seed.
+
+    Its walk length is checked against ``cap`` before any draw.
+    """
+    _check_walk(lam, t, 1, cap)
     return float(_chunk_overshoots(lam, t, seed, 0, 1)[0])
 
 
@@ -151,6 +200,7 @@ def renewal_expectation_mc(
     t: float,
     n_samples: int,
     seed: int,
+    cap: int = DEFAULT_WORD_CAP,
 ) -> RenewalResult:
     """Monte Carlo estimate of E_t next to the stationary limit E_inf.
 
@@ -166,9 +216,13 @@ def renewal_expectation_mc(
     variance of the complex values.  A lattice step law never forgets its
     phase, so the estimate need not approach the limit there; that case
     is flagged on the result and raises a warning.
+
+    Every walker draws ceil(t / smallest step) + 2 steps; that length
+    times the walkers of one chunk is checked against ``cap`` before any
+    draw, so the work per chunk stays bounded and the chunk count grows
+    linearly with ``n_samples``.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InputError(f"crossing level must be positive and finite, got {t!r}")
+    _check_walk(lam, t, n_samples, cap)
     if n_samples < 100:
         raise PreconditionError(f"need at least 100 samples, got {n_samples!r}")
     lattice = lattice_test(lam)

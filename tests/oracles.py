@@ -5,7 +5,9 @@ avoiding the code paths under test: breadth-first enumeration instead of
 the library's depth-first stack, an infinite-product formula for the
 Cantor transform, a binomial lattice recursion for overshoot laws, sine
 and cosine integrals for the stationary overshoot limit, and exact
-Fraction arithmetic for series values.
+Fraction arithmetic for series values.  Two oracles are earlier versions
+of library code kept as references: the overshoot sampler that drew its
+steps with ``Generator.choice``, and the row-by-row diagonal sweep.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy.special import sici
 
 
@@ -38,6 +41,55 @@ def bfs_stopping_words(ratios, threshold: float):
                     nxt.append((child, p))
         frontier = nxt
     return done
+
+
+def choice_overshoots(lam, t: float, seed: int, chunk_index: int,
+                      count: int) -> np.ndarray:
+    """Overshoots of one sample chunk, steps drawn by ``Generator.choice``.
+
+    Each walker draws ceil(t / smallest step) + 2 steps from the chunk's
+    Philox stream keyed by (seed, chunk index), rows in order, and
+    reports where its running sum first reaches t.
+    """
+    locs = np.array(lam.locations)
+    probs = np.array(lam.masses)
+    probs = probs / probs.sum()
+    # Enough steps that even all-smallest-step walks cross t.
+    steps = int(math.ceil(t / float(locs.min()))) + 2
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    rows = max(1, (1 << 21) // steps)
+    out = np.empty(count)
+    # Row blocks read the same stream as one (count, steps) draw would.
+    for start in range(0, count, rows):
+        n = min(rows, count - start)
+        sums = np.cumsum(locs[rng.choice(len(locs), size=(n, steps), p=probs)], axis=1)
+        out[start:start + n] = sums[np.arange(n), np.argmax(sums >= t, axis=1)] - t
+    return out
+
+
+def rowwise_diagonal_sweep(lo, hi, mass, delta: float) -> tuple[float, float]:
+    """Diagonal-strip bracket summed one cylinder at a time.
+
+    ``lo``, ``hi`` and ``mass`` describe level cylinders sorted by left
+    end.  Cylinder i is paired with every later cylinder that starts
+    within ``delta`` of its right end; each pair adds twice its mass
+    product to the upper bound, and to the lower bound when every pair of
+    points is within ``delta``.  The sums run in cylinder order, and
+    numpy sums stand where a BLAS dot product would split its reduction
+    by thread count.
+    """
+    count = len(lo)
+    ends = np.searchsorted(lo, hi + delta, side="right")
+    later = ends - np.arange(1, count + 1)
+    upper = float(np.sum(mass * mass))
+    lower = float(np.sum(mass[hi - lo <= delta] ** 2))
+    for i in np.flatnonzero(later > 0):
+        sl = slice(i + 1, ends[i])
+        upper += 2.0 * mass[i] * float(np.sum(mass[sl]))
+        good = np.maximum(hi[sl] - lo[i], hi[i] - lo[sl]) <= delta
+        lower += 2.0 * mass[i] * float(np.sum(mass[sl] * good))
+    return (lower, upper)
 
 
 def cantor_product_transform(xi: float, terms: int) -> tuple[complex, float]:

@@ -94,6 +94,13 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and "cap" in err
     code, _, err = run(["dim"], capsys)
     assert code == 2
+    # Renewal walks are checked against --cap before any step is drawn.
+    code, _, err = run(["renewal", "--spec", '{"maps":[["9/10","0"],["1/20","19/20"]]}',
+                        "--t", "1e8", "--samples", "100"], capsys)
+    assert code == 3 and "949122161 steps per walker" in err
+    code, _, err = run(["renewal", "--spec", LUROTH_SPEC, "--t", "1e5",
+                        "--samples", "1000000"], capsys)
+    assert code == 3 and "144272 steps per walker" in err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

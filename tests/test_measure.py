@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+import selfsim.measure
 from conftest import random_disjoint_ifs
+from oracles import rowwise_diagonal_sweep
 from selfsim import (
     InputError,
     compose_word,
@@ -16,6 +19,8 @@ from selfsim import (
     interval_mass_bounds,
     regularity_scan,
 )
+from selfsim.cli import parse_spec
+from selfsim.ifs import _refine
 from selfsim.luroth import luroth_natural_ifs
 
 
@@ -156,6 +161,55 @@ def test_diagonal_mass_pair_cap_is_exact(luroth23):
     assert diagonal_mass(luroth23, delta, depth, cap=pairs) == diagonal_mass(luroth23, delta, depth)
     with pytest.raises(ResourceCapError, match=f"needs {pairs} level-{depth} cylinder pairs"):
         diagonal_mass(luroth23, delta, depth, cap=pairs - 1)
+
+
+def _sorted_level(ifs, depth):
+    lo, width, mass = np.zeros(1), np.ones(1), np.ones(1)
+    for _ in range(depth):
+        lo, width, mass = _refine(ifs, lo, width, mass)
+    order = np.argsort(lo, kind="stable")
+    return lo[order], lo[order] + width[order], mass[order]
+
+
+NINETY = '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}'
+CANTOR = '{"maps": [["1/3", "0"], ["1/3", "2/3"]]}'
+
+
+@pytest.mark.parametrize("spec,delta,depth,exact", [
+    ('{"luroth": [2, 3]}', 1e-6, 16, True),   # the benchmark size, 1.76 M pairs
+    (CANTOR, 0.1, 4, True),                   # the CLI contract case
+    ('{"luroth": [2, 3]}', 0.01, 10, False),
+    ('{"luroth": [2, 3]}', 1e-3, 14, False),
+    ('{"luroth": [2, 3, 5, 7]}', 1e-3, 7, False),
+    (NINETY, 0.3, 10, False),
+    (NINETY, 0.5, 12, False),                 # long rows of pairs
+])
+def test_diagonal_sweep_matches_rowwise_loop(spec, delta, depth, exact, monkeypatch):
+    ifs = parse_spec(spec).ifs
+    lo, hi, mass = _sorted_level(ifs, depth)
+    want = rowwise_diagonal_sweep(lo, hi, mass, delta)
+    got = diagonal_mass(ifs, delta, depth)
+    if exact:
+        assert got == want
+    else:
+        ends = np.searchsorted(lo, hi + delta, side="right")
+        pairs = int(np.maximum(ends - np.arange(len(lo)), 1).sum())
+        tol = 4.0 * np.finfo(float).eps * pairs
+        assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
+    # Blocks take whole rows and carry the running sums, so their size
+    # does not move a bit.
+    monkeypatch.setattr(selfsim.measure, "_PAIR_ENTRIES", 97)
+    assert diagonal_mass(ifs, delta, depth) == got
+
+
+def test_diagonal_sweep_memory_is_blocked(luroth23):
+    tracemalloc.start()
+    try:
+        diagonal_mass(luroth23, 1e-6, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def _level_words(ifs, depth):

@@ -4,11 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import overshoot_expectation_dp, stationary_phase_expectation
+from conftest import random_disjoint_ifs
+from oracles import choice_overshoots, overshoot_expectation_dp, stationary_phase_expectation
 from selfsim import (
     InputError,
     PreconditionError,
+    ResourceCapError,
     Similitude,
     WeightedIFS,
     auxiliary_measure,
@@ -17,6 +21,7 @@ from selfsim import (
     renewal_limit,
     sample_overshoot,
 )
+from selfsim.cli import parse_spec
 from selfsim.luroth import luroth_natural_ifs
 from selfsim.renewal import _CHUNK, _chunk_overshoots
 
@@ -141,3 +146,62 @@ def test_chunk_memory_stays_bounded_for_long_walks():
     assert len(overshoots) == _CHUNK
     assert np.all((overshoots >= 0.0) & (overshoots < -math.log(0.05)))
     assert peak < 100 * 2 ** 20
+
+
+# Step laws for the sampler identity: Luroth systems with two to eight
+# digits, the 9/10 walk (small steps, long walks) and a single map.
+SAMPLER_SPECS = {
+    "luroth23": '{"luroth": [2, 3]}',
+    "luroth2-9": '{"luroth": [2, 3, 4, 5, 6, 7, 8, 9]}',
+    "luroth2357": '{"luroth": [2, 3, 5, 7]}',
+    "ninety": '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}',
+    "single": '{"maps": [["1/2", "1/4"]]}',
+}
+
+
+@pytest.mark.parametrize("t", [0.3, 5.0, 30.0, 100.0])
+@pytest.mark.parametrize("name", sorted(SAMPLER_SPECS))
+def test_chunk_overshoots_match_choice_sampler(name, t):
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
+    for chunk_index in (0, 7):
+        for count in (1, 999, _CHUNK):
+            want = choice_overshoots(lam, t, 42, chunk_index, count)
+            got = _chunk_overshoots(lam, t, 42, chunk_index, count)
+            assert np.array_equal(got, want), (name, t, chunk_index, count)
+
+
+def test_chunk_overshoots_match_choice_sampler_with_many_atoms():
+    # 300 atoms index past 255, so the atom counter must be wider than a byte.
+    maps = tuple(Similitude(1 / 400 + k * 1e-6, k / 300) for k in range(300))
+    ifs = WeightedIFS(tuple(range(300)), maps, tuple([1 / 300] * 300))
+    lam = auxiliary_measure(ifs)
+    got = _chunk_overshoots(lam, 20.0, 3, 1, 999)
+    assert np.array_equal(got, choice_overshoots(lam, 20.0, 3, 1, 999))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.05, 40.0),
+       chunk_index=st.integers(0, 2 ** 20), count=st.integers(1, 3000))
+def test_chunk_overshoots_match_choice_sampler_property(seed, t, chunk_index, count):
+    lam = auxiliary_measure(random_disjoint_ifs(np.random.default_rng(seed)))
+    assert np.array_equal(_chunk_overshoots(lam, t, seed, chunk_index, count),
+                          choice_overshoots(lam, t, seed, chunk_index, count))
+
+
+def test_walk_length_is_capped_before_drawing(luroth_lambda):
+    g = phase_test_function(0.3)
+    # Luroth {2,3} steps are at least log 2, so t = 1e5 needs 144 272 steps
+    # per walker; a full chunk of them is about 9.5e9 step draws.
+    steps = math.ceil(1e5 / math.log(2)) + 2
+    with pytest.raises(ResourceCapError, match=f"needs {steps} steps per walker"):
+        renewal_expectation_mc(luroth_lambda, g, 1e5, n_samples=10 ** 6, seed=1)
+    # The cap counts the step draws of one chunk, not of all the samples.
+    steps = math.ceil(30.0 / math.log(2)) + 2
+    draws = steps * _CHUNK
+    renewal_expectation_mc(luroth_lambda, g, 30.0, n_samples=2 * _CHUNK, seed=1, cap=draws)
+    with pytest.raises(ResourceCapError, match=f"{draws} step draws per chunk"):
+        renewal_expectation_mc(luroth_lambda, g, 30.0, n_samples=2 * _CHUNK, seed=1,
+                               cap=draws - 1)
+    assert sample_overshoot(luroth_lambda, 30.0, seed=1, cap=steps) >= 0.0
+    with pytest.raises(ResourceCapError, match=f"cap={steps - 1}"):
+        sample_overshoot(luroth_lambda, 30.0, seed=1, cap=steps - 1)
