@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,26 @@ def test_regularity_and_diagonal_commands(capsys):
     assert code == 0
     summary = dict(part.split("=", 1) for part in stdout.split()[1:])
     assert float(summary["lower"]) <= float(summary["upper"])
+
+
+# Run in a fresh interpreter: the test modules themselves import scipy.
+SCIPY_FREE_RUN = """
+import sys
+import selfsim
+import selfsim.cli
+out = sys.argv[1]
+assert selfsim.cli.main(["renewal", "--spec", '{"luroth": [2, 3]}', "--t", "5",
+                         "--samples", "200", "--out", out + "/renewal.csv"]) == 0
+assert selfsim.cli.main(["fourier-scan", "--spec", '{"luroth": [2, 3]}', "--t", "6",
+                         "--xi-max", "64", "--out", out + "/scan.csv"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -119,11 +119,11 @@ EXPECTED = {
         }),
     'renewal': (
         'renewal t=10 mc_re=0.4744516576597605 mc_im=-0.7873634409541248'
-        ' stderr=0.0088021144162293702 limit_re=0.42179233029839958'
-        ' limit_im=-0.79842214704843439 n_samples=2000 lattice=false',
+        ' stderr=0.0088021144162293702 limit_re=0.42179233029839963'
+        ' limit_im=-0.79842214704843428 n_samples=2000 lattice=false',
         {
             'job.csv':
-                '942e3016a1b0422127ff4e33b160afbdf60ea31cb97c794f80174e046b8b27ee',
+                '6a24e44721a3a7ba3e30f3d9bcb456c7858b7873fb99ea667e4966ab48bdbaf4',
         }),
     'weights': (
         'weights dim=0.63092975357145731 weights=0.5,0.5',

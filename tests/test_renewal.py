@@ -1,6 +1,8 @@
 import cmath
 import math
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from selfsim import (
 )
 from selfsim.cli import parse_spec
 from selfsim.luroth import luroth_natural_ifs
-from selfsim.renewal import _CHUNK, _chunk_overshoots
+from selfsim.renewal import _CHUNK, _GL_NODES, _GL_WEIGHTS, _chunk_overshoots
 
 # Limit value of E exp(0.3i * overshoot) for the Luroth {2,3} walk, frozen
 # from the quadrature path and cross-checked by interval subdivision.
@@ -67,12 +69,69 @@ def test_renewal_limit_golden(luroth_lambda):
     assert value == pytest.approx(LIMIT_LUROTH23_S03, abs=1e-14)
 
 
-@pytest.mark.parametrize("digits", [(2, 3), (2, 3, 5, 7)])
-@pytest.mark.parametrize("s", [0.3, -0.3, 2.5])
-def test_renewal_limit_matches_closed_form(digits, s):
-    lam = auxiliary_measure(luroth_natural_ifs(digits)[0])
+def _assert_limit_matches_closed_form(lam, s):
     want = stationary_phase_expectation(lam.locations, lam.masses, s)
-    assert abs(renewal_limit(lam, phase_test_function(s)) - want) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = renewal_limit(lam, phase_test_function(s))
+    assert abs(got - want) <= 1e-12
+
+
+# s = 40 winds the phase about 250 radians over the first segment, so the
+# rule has to bisect there.
+LIMIT_STRENGTHS = [0.3, -0.3, 2.5, 40.0]
+
+
+@pytest.mark.parametrize("digits", [(2, 3), (2, 3, 5, 7)])
+@pytest.mark.parametrize("s", LIMIT_STRENGTHS)
+def test_renewal_limit_matches_closed_form(digits, s):
+    _assert_limit_matches_closed_form(auxiliary_measure(luroth_natural_ifs(digits)[0]), s)
+
+
+@pytest.mark.parametrize("s", LIMIT_STRENGTHS)
+def test_renewal_limit_matches_closed_form_for_the_ninety_walk(s):
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["ninety"]).ifs)
+    _assert_limit_matches_closed_form(lam, s)
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_47():
+    nodes, weights = _GL_NODES, _GL_WEIGHTS
+    assert len(nodes) == 24 and np.all(np.diff(nodes) > 0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert np.all(np.abs(nodes) < 1.0) and np.all(weights > 0.0)
+    eps = np.finfo(float).eps
+    assert abs(math.fsum(weights) - 2.0) <= 2 * eps
+    for degree in range(48):
+        want = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        assert abs(math.fsum(weights * nodes ** degree) - want) <= 4 * eps, degree
+
+
+def test_renewal_limit_of_a_plain_callable():
+    # No apply_array: the limit calls g point by point.  With
+    # g(z) = cos z + i z^2 every segment integral is known exactly.
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["luroth2357"]).ifs)
+    numerator = 0j
+    denominator = 0.0
+    prev = 0.0
+    for loc in lam.locations:
+        survival = lam.survival(prev)
+        numerator += survival * complex(math.sin(loc) - math.sin(prev),
+                                        (loc ** 3 - prev ** 3) / 3.0)
+        denominator += survival * (loc - prev)
+        prev = loc
+    got = renewal_limit(lam, lambda z: math.cos(z) + 1j * z * z)
+    assert abs(got - numerator / denominator) <= 1e-14
+
+
+def test_renewal_limit_warns_when_bisection_runs_out(luroth_lambda):
+    # A square wave with hundreds of jumps per segment cannot meet the
+    # tolerance in 200 bisections: the limit must stop, warn and return.
+    start = time.perf_counter()
+    with pytest.warns(RuntimeWarning, match="200 bisections .* estimated error"):
+        value = renewal_limit(luroth_lambda,
+                              lambda z: math.copysign(1.0, math.sin(1e3 * z)))
+    assert time.perf_counter() - start < 10.0
+    assert math.isfinite(value.real) and abs(value) <= 1.0 and value.imag == 0.0
 
 
 def test_renewal_mc_constant_observable_exact(luroth_lambda):
