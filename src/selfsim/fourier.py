@@ -172,17 +172,17 @@ def self_similarity_residual(
     The measure equals the weight combination of its images under the
     level-1 maps, so the transform at xi must match the weighted sum of
     child transforms at ratio*xi twisted by the translation phases.  Both
-    sides are evaluated with the same stopping time; the reported residual
-    is bounded by the parent error bound plus the weighted child bounds.
+    sides come from one fold over the same stopping states; the reported
+    residual is bounded by the parent error bound plus the weighted child
+    bounds.
     """
-    parent = mu_hat_cylinder(ifs, xi, t, cap)
+    xis = np.array([xi] + [m.ratio * xi for m in ifs.maps], dtype=float)
+    values, _ = _family_sums(ifs, t, xis, cap)
     combined = 0j
-    for k in range(ifs.size):
-        m = ifs.maps[k]
-        child = mu_hat_cylinder(ifs, m.ratio * xi, t, cap)
+    for m, p, child in zip(ifs.maps, ifs.weights, values[1:]):
         phase = np.exp(-1j * TWO_PI * xi * m.translation)
-        combined += ifs.weights[k] * complex(phase) * child.value
-    return abs(parent.value - combined)
+        combined += p * complex(phase) * complex(child)
+    return abs(complex(values[0]) - combined)
 
 
 def dyadic_scan(

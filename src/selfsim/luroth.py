@@ -5,7 +5,7 @@ x -> 1/d + x / (d*(d-1)), whose image is the interval (1/d, 1/(d-1)]
 once the half-open convention is fixed.  A finite digit set therefore
 defines a weighted system on [0,1] whose attractor carries the numbers
 with all Luroth digits in the set.  Digit arithmetic here is exact over
-the rationals, so encoding and decoding round-trip at any depth.
+the integers, so encoding and decoding round-trip at any depth.
 """
 
 from __future__ import annotations
@@ -89,23 +89,32 @@ def luroth_encode(x, n: int) -> LurothDigits:
     return LurothDigits(tuple(digits), False)
 
 
+def _refine_cylinder(a: int, w: int, d: int) -> tuple[int, int]:
+    """The cylinder [A/W, (A+1)/W] refined by digit d, as integers (A', W').
+
+    Digit d maps it onto 1/d + [A, A+1]/(d*(d-1)*W), so A' = (d-1)*(d*A+1)
+    and W' = d*(d-1)*W.  From (0, 1), a digit block's cylinder starts at
+    the block's series value A/W and has width 1/W.
+    """
+    return (d - 1) * (d * a + 1), d * (d - 1) * w
+
+
 def luroth_decode(digits, exact: bool = False):
     """Number with the given Luroth digit prefix, plus a tail width bound.
 
     Returns (value, tail): ``value`` decodes the prefix followed by all
     tail contributions set to zero, and every number sharing the prefix
-    lies within ``tail`` above it (the width of the prefix cylinder).
-    Exact rationals are returned when ``exact`` is set, floats otherwise.
+    lies within ``tail`` above it: the prefix cylinder is [A/W, (A+1)/W]
+    (_refine_cylinder).  Exact rationals are returned when ``exact`` is
+    set, correctly rounded floats otherwise.
     """
     seq = _check_digits(digits.digits if isinstance(digits, LurothDigits) else digits)
-    value = Fraction(0)
-    scale = Fraction(1)
+    a, w = 0, 1
     for d in seq:
-        value += scale * Fraction(1, d)
-        scale /= d * (d - 1)
+        a, w = _refine_cylinder(a, w, d)
     if exact:
-        return value, scale
-    return float(value), float(scale)
+        return Fraction(a, w), Fraction(1, w)
+    return a / w, 1 / w
 
 
 def figure_intervals(
@@ -115,9 +124,10 @@ def figure_intervals(
 ) -> tuple[tuple[Fraction, Fraction], ...]:
     """Exact level-``level`` cylinder intervals of the digit system.
 
-    Every word of the given length contributes the rational interval
-    obtained by pushing [0,1] through its maps; intervals are returned
-    sorted by left endpoint.
+    Every word of the given length contributes its image of [0,1], the
+    interval [A/W, (A+1)/W] of _refine_cylinder.  The maps increase and
+    larger digits lie further left, so refining by descending digits
+    keeps the intervals sorted by left endpoint.
     """
     ds = _digit_set(digits)
     if level < 1:
@@ -125,12 +135,10 @@ def figure_intervals(
     total = len(ds) ** level
     if total > cap:
         raise ResourceCapError(f"level {level} needs {total} intervals, cap={cap}")
-    maps = [(Fraction(1, d * (d - 1)), Fraction(1, d)) for d in ds]
-    # (start, width) of each cylinder, refined one level at a time.
-    cylinders = [(Fraction(0), Fraction(1))]
+    cylinders = [(0, 1)]
     for _ in range(level):
-        cylinders = [(lo + width * b, width * r) for lo, width in cylinders for r, b in maps]
-    return tuple(sorted((lo, lo + width) for lo, width in cylinders))
+        cylinders = [_refine_cylinder(a, w, d) for a, w in cylinders for d in reversed(ds)]
+    return tuple((Fraction(a, w), Fraction(a + 1, w)) for a, w in cylinders)
 
 
 def _two_smallest(digits: Iterable[int]) -> tuple[int, int]:

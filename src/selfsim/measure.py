@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -84,7 +83,8 @@ class RegularityReport:
     then satisfy mass <= prefactor * length^alpha_hat over the scanned
     range, and interval masses inherit the same exponent up to the factor
     ``interval_constant`` = max(ratio^-alpha_hat) * alphabet size for
-    intervals no shorter than ``min_scale``.
+    intervals no shorter than ``min_scale``.  Each extreme is attained by
+    a word repeating one symbol (see regularity_scan).
     """
 
     depth: int
@@ -102,9 +102,13 @@ def regularity_scan(
 ) -> RegularityReport:
     """Scan cylinder mass exponents down to the given level.
 
-    Both the mass and the length of a word's cylinder depend only on the
-    multiset of its symbols, so the scan enumerates multisets instead of
-    words and stays polynomial in the depth.
+    A word with symbol counts c has the exponent sum c_k log p_k over
+    sum c_k log r_k, a ratio of linear forms with a negative denominator.
+    On one level (sum c = n) it takes its min and max at a vertex n*e_k,
+    as does the linear log(mass) - alpha*log(length) that sets the
+    prefactor, and the shortest cylinder repeats the smallest ratio.  So
+    only the K single-symbol words of each level are evaluated, and the
+    ``depth`` rows built are checked against ``cap`` first.
     """
     if depth < 1:
         raise InputError(f"scan depth must be at least 1, got {depth!r}")
@@ -112,37 +116,23 @@ def regularity_scan(
     if not report:
         pairs = ", ".join(f"{a!r}/{b!r} by {d:.3g}" for a, b, d in report.overlaps)
         raise PreconditionError(f"level-1 intervals overlap beyond endpoints: {pairs}")
-    total = sum(math.comb(n + ifs.size - 1, ifs.size - 1) for n in range(1, depth + 1))
-    if total > cap:
-        raise ResourceCapError(
-            f"regularity scan would visit {total} multisets, cap={cap}")
-    log_r = [math.log(m.ratio) for m in ifs.maps]
-    log_p = [math.log(w) for w in ifs.weights]
-    rows = []
-    scanned: list[tuple[float, float]] = []
-    min_scale = 1.0
-    for level in range(1, depth + 1):
-        lo_ratio = math.inf
-        hi_ratio = -math.inf
-        for combo in combinations_with_replacement(range(ifs.size), level):
-            lr = math.fsum(log_r[k] for k in combo)
-            lp = math.fsum(log_p[k] for k in combo)
-            scanned.append((lr, lp))
-            ratio = lp / lr
-            lo_ratio = min(lo_ratio, ratio)
-            hi_ratio = max(hi_ratio, ratio)
-            min_scale = min(min_scale, math.exp(lr))
-        rows.append((level, lo_ratio, hi_ratio))
+    if depth > cap:
+        raise ResourceCapError(f"regularity scan needs {depth} rows, cap={cap}")
+    logs = [(math.log(m.ratio), math.log(w)) for m, w in zip(ifs.maps, ifs.weights)]
+    # (log length, log mass) of the single-symbol words n*e_k, level by level.
+    vertices = [[(n * lr, n * lp) for lr, lp in logs] for n in range(1, depth + 1)]
+    rows = tuple((n, min(lp / lr for lr, lp in level), max(lp / lr for lr, lp in level))
+                 for n, level in enumerate(vertices, start=1))
     alpha_hat = min(1.0, max(0.0, rows[-1][1]))
-    # Prefactor: largest observed mass / length^alpha_hat over the scan.
-    prefactor = max(math.exp(lp - alpha_hat * lr) for lr, lp in scanned)
+    # Prefactor: largest mass / length^alpha_hat over the scan.
+    prefactor = max(math.exp(lp - alpha_hat * lr) for level in vertices for lr, lp in level)
     interval_constant = max(m.ratio ** -alpha_hat for m in ifs.maps) * ifs.size
     return RegularityReport(
         depth=depth,
         alpha_hat=alpha_hat,
-        rows=tuple(rows),
+        rows=rows,
         prefactor=max(prefactor, 1.0),
-        min_scale=min_scale,
+        min_scale=math.exp(depth * min(lr for lr, _ in logs)),
         interval_constant=interval_constant,
     )
 

@@ -5,9 +5,11 @@ avoiding the code paths under test: breadth-first enumeration instead of
 the library's depth-first stack, an infinite-product formula for the
 Cantor transform, a binomial lattice recursion for overshoot laws, sine
 and cosine integrals for the stationary overshoot limit, and exact
-Fraction arithmetic for series values.  Two oracles are earlier versions
-of library code kept as references: the overshoot sampler that drew its
-steps with ``Generator.choice``, and the row-by-row diagonal sweep.
+Fraction arithmetic for series values.  Four oracles are earlier
+versions of library code kept as references: the overshoot sampler that
+drew its steps with ``Generator.choice``, the row-by-row diagonal sweep,
+the regularity scan over every symbol multiset, and the Fraction
+refinement of Luroth cylinder intervals.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.special import sici
@@ -178,3 +181,45 @@ def luroth_partial_sum(digits) -> tuple[Fraction, Fraction]:
         value += scale / d
         scale /= d * (d - 1)
     return value, scale
+
+
+def multiset_regularity(ifs, depth: int):
+    """Regularity scan over every symbol multiset of levels 1..depth.
+
+    A word's cylinder mass and length depend only on its symbol multiset,
+    so each multiset stands for all its words.  Returns (rows, alpha_hat,
+    prefactor, min_scale) as RegularityReport defines them, with every log
+    sum taken by ``math.fsum``.
+    """
+    log_r = [math.log(m.ratio) for m in ifs.maps]
+    log_p = [math.log(w) for w in ifs.weights]
+    rows = []
+    scanned = []
+    min_scale = 1.0
+    for level in range(1, depth + 1):
+        lo_ratio = math.inf
+        hi_ratio = -math.inf
+        for combo in combinations_with_replacement(range(ifs.size), level):
+            lr = math.fsum(log_r[k] for k in combo)
+            lp = math.fsum(log_p[k] for k in combo)
+            scanned.append((lr, lp))
+            lo_ratio = min(lo_ratio, lp / lr)
+            hi_ratio = max(hi_ratio, lp / lr)
+            min_scale = min(min_scale, math.exp(lr))
+        rows.append((level, lo_ratio, hi_ratio))
+    alpha_hat = min(1.0, max(0.0, rows[-1][1]))
+    prefactor = max(math.exp(lp - alpha_hat * lr) for lr, lp in scanned)
+    return tuple(rows), alpha_hat, max(prefactor, 1.0), min_scale
+
+
+def luroth_cylinders(digits, level: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Level cylinders of a Luroth digit set, pushed through the maps as Fractions.
+
+    Digit d maps x to 1/d + x/(d*(d-1)); each cylinder (start, width) is
+    refined by every digit in turn, and the intervals come back sorted.
+    """
+    maps = [(Fraction(1, d * (d - 1)), Fraction(1, d)) for d in sorted(set(digits))]
+    cylinders = [(Fraction(0), Fraction(1))]
+    for _ in range(level):
+        cylinders = [(lo + width * b, width * r) for lo, width in cylinders for r, b in maps]
+    return tuple(sorted((lo, lo + width) for lo, width in cylinders))

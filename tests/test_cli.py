@@ -220,7 +220,7 @@ def test_dioph_scan_command(capsys):
 def test_regularity_and_diagonal_commands(capsys):
     code, stdout, _ = run(["regularity", "--spec", LUROTH_SPEC,
                            "--depth", "5"], capsys)
-    assert code == 0 and "alpha_hat=0.60096685161367547" in stdout
+    assert code == 0 and "alpha_hat=0.60096685161367558" in stdout
     code, stdout, _ = run(["diagonal", "--spec", CANTOR_SPEC,
                            "--delta", "0.1", "--depth", "5"], capsys)
     assert code == 0

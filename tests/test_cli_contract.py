@@ -110,12 +110,12 @@ EXPECTED = {
                 '7adc85d602d515cfb2692f20da136d4a06683801cf0c6126e24057fcce401f31',
         }),
     'regularity': (
-        'regularity alpha_hat=0.60096685161367547 prefactor=1'
-        ' min_scale=0.00012860082304526758 interval_constant=5.8704731046170604'
+        'regularity alpha_hat=0.60096685161367558 prefactor=1.0000000000000004'
+        ' min_scale=0.00012860082304526758 interval_constant=5.8704731046170613'
         ' depth=5',
         {
             'job.csv':
-                '6645ddc35c94d70804bfe51d9860e5e73cd3879efe107eac62e29953574d8bbd',
+                '97edf64ce8c62aa7171b2daa01545395efddaab57f9d75307812a9e8e922ab42',
         }),
     'renewal': (
         'renewal t=10 mc_re=0.4744516576597605 mc_im=-0.7873634409541248'

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import luroth_partial_sum
+from oracles import luroth_cylinders, luroth_partial_sum
 from selfsim import (
     InputError,
     LurothDigits,
@@ -75,11 +75,11 @@ def test_decode_known_values():
 
 def test_decode_matches_series_oracle():
     rng = np.random.default_rng(53)
-    for _ in range(50):
-        digits = tuple(int(d) for d in rng.integers(2, 12, size=10))
-        value, tail = luroth_decode(digits, exact=True)
-        want_v, want_t = luroth_partial_sum(digits)
-        assert value == want_v and tail == want_t
+    for _ in range(300):
+        digits = tuple(int(d) for d in rng.integers(2, 61, size=int(rng.integers(1, 31))))
+        want = luroth_partial_sum(digits)
+        assert luroth_decode(digits, exact=True) == want
+        assert luroth_decode(digits) == (float(want[0]), float(want[1]))
 
 
 def test_value_round_trip():
@@ -131,6 +131,17 @@ def test_figure_intervals_level3_golden():
     assert widths[-1] == Fraction(1, 2) ** 3
     with pytest.raises(ResourceCapError):
         figure_intervals((2, 3), 20, cap=100)
+
+
+def test_figure_intervals_match_fraction_oracle():
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        digits = tuple(int(d) for d in rng.choice(np.arange(2, 61), size=int(rng.integers(1, 5)),
+                                                  replace=False))
+        # At most 4096 intervals, so the Fraction oracle stays quick.
+        top = max(n for n in range(1, 9) if len(digits) ** n <= 4096)
+        level = int(rng.integers(1, top + 1))
+        assert figure_intervals(digits, level) == luroth_cylinders(digits, level)
 
 
 def test_beta_values_golden():

@@ -1,13 +1,14 @@
 import math
+import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import selfsim.measure
 from conftest import random_disjoint_ifs
-from oracles import rowwise_diagonal_sweep
+from oracles import multiset_regularity, rowwise_diagonal_sweep
 from selfsim import (
     InputError,
     compose_word,
@@ -21,7 +22,7 @@ from selfsim import (
 )
 from selfsim.cli import parse_spec
 from selfsim.ifs import _refine
-from selfsim.luroth import luroth_natural_ifs
+from selfsim.luroth import luroth_ifs, luroth_natural_ifs
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,46 @@ def test_regularity_alpha_clamped():
         ifs = random_disjoint_ifs(rng)
         report = regularity_scan(ifs, 4)
         assert 0.0 <= report.alpha_hat <= 1.0
+
+
+def test_regularity_scan_matches_multiset_oracle():
+    # With explicit weights the exponents differ across multisets, and the
+    # single-symbol words reproduce the full enumeration bit for bit.
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        ifs = random_disjoint_ifs(rng)
+        depth = int(rng.integers(1, 12))
+        report = regularity_scan(ifs, depth)
+        rows, alpha_hat, prefactor, min_scale = multiset_regularity(ifs, depth)
+        assert report.rows == rows
+        assert report.alpha_hat == alpha_hat
+        assert report.prefactor == prefactor
+        assert report.min_scale == min_scale
+
+
+def test_regularity_natural_weights_hit_the_moran_root():
+    # Natural weights give every multiset the exponent s exactly, so
+    # alpha_hat can differ from the Moran root by rounding only.
+    for digits in combinations(range(2, 12), 3):
+        ifs, s = luroth_natural_ifs(digits)
+        for depth in (5, 30):
+            alpha_hat = regularity_scan(ifs, depth).alpha_hat
+            assert abs(alpha_hat - s) <= 3 * math.ulp(s), (digits, depth)
+
+
+def test_regularity_cap_counts_rows(luroth23):
+    assert len(regularity_scan(luroth23, 40, cap=40).rows) == 40
+    with pytest.raises(ResourceCapError, match="needs 40 rows"):
+        regularity_scan(luroth23, 40, cap=39)
+
+
+def test_regularity_scan_is_linear_in_depth():
+    # Levels 1..200 hold 70 058 750 symbol multisets; the scan visits 800 words.
+    ifs = luroth_ifs((2, 3, 5, 7))
+    start = time.perf_counter()
+    report = regularity_scan(ifs, 200)
+    assert time.perf_counter() - start < 0.05
+    assert len(report.rows) == 200
 
 
 def test_diagonal_mass_golden(lebesgue):
