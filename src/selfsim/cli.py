@@ -293,7 +293,7 @@ def _dioph_scan(args, spec):
         log_c = matveev_log_constant(a1, a2)
     else:
         raise InputError("--l is required unless the spec is a multi-digit luroth set")
-    report = weakly_diophantine_scan(lam, power, args.b_max, args.grid)
+    report = weakly_diophantine_scan(lam, power, args.b_max, args.grid, cap=args.cap)
     summary = {
         "degree_l": report.degree_l,
         "scan_min": report.scan_min,

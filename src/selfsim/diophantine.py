@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
-from .ifs import WeightedIFS
+from .errors import InputError, ResourceCapError
+from .ifs import DEFAULT_WORD_CAP, WeightedIFS
 
 # Rationality detection for location ratios: certified denominators stay
 # at or below this cap, with this residual tolerance.
@@ -130,6 +130,7 @@ def weakly_diophantine_scan(
     l: float,
     b_max: float,
     grid: int,
+    cap: int = DEFAULT_WORD_CAP,
 ) -> DiophantineReport:
     """Tabulate the resonance gap over [1, b_max] with targeted refinement.
 
@@ -137,7 +138,8 @@ def weakly_diophantine_scan(
     b = 2*pi*k / location, the only frequencies where a single atom's
     phase returns to 1.  The gap can only vanish on the scan when the
     atom locations share a common multiple of 2*pi/b, the lattice case,
-    which is also reported.
+    which is also reported.  The candidate count, grid plus five per
+    resonance, is checked against ``cap`` before any array is built.
     """
     if not (l > 0.0 and math.isfinite(l)):
         raise InputError(f"power must be positive and finite, got {l!r}")
@@ -145,12 +147,17 @@ def weakly_diophantine_scan(
         raise InputError(f"frequency ceiling must be finite and exceed 1, got {b_max!r}")
     if grid < 2:
         raise InputError(f"grid must have at least 2 points, got {grid!r}")
+    # k_hi is clamped below 2^62 (far past any cap) so that it stays finite.
+    resonances = [(loc, max(1, math.ceil(loc / (2.0 * math.pi))),
+                   math.floor(min(b_max * loc / (2.0 * math.pi), 2.0 ** 62)))
+                  for loc in lam.locations]
+    count = grid + 5 * sum(max(0, k_hi - k_lo + 1) for _, k_lo, k_hi in resonances)
+    if count > cap:
+        raise ResourceCapError(f"resonance scan needs {count} candidate rows, cap={cap}")
     spacing = (b_max - 1.0) / (grid - 1)
     candidates = [np.linspace(1.0, b_max, grid)]
     offsets = np.array([-1.0, -0.25, 0.0, 0.25, 1.0]) * spacing
-    for loc in lam.locations:
-        k_lo = max(1, math.ceil(loc / (2.0 * math.pi)))
-        k_hi = math.floor(b_max * loc / (2.0 * math.pi))
+    for loc, k_lo, k_hi in resonances:
         if k_hi < k_lo:
             continue
         ks = np.arange(k_lo, k_hi + 1, dtype=float)

@@ -11,6 +11,7 @@ exponent controlling interval masses up to an explicit constant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,8 @@ def regularity_scan(
         alpha_hat=alpha_hat,
         rows=rows,
         prefactor=max(prefactor, 1.0),
-        min_scale=math.exp(depth * min(lr for lr, _ in logs)),
+        # Rounded up to the least normal float, so an underflow never reads as 0.
+        min_scale=max(math.exp(depth * min(lr for lr, _ in logs)), sys.float_info.min),
         interval_constant=interval_constant,
     )
 

@@ -4,14 +4,15 @@ A random walk with step law given by the auxiliary measure first crosses
 a level t with some overshoot; for non-lattice step laws the overshoot
 law stabilises as t grows, with limiting expectation
 E_inf = integral(g * survival) / integral(survival) over the positive
-half-line.  This module samples overshoots reproducibly, estimates the
-finite-level expectation E_t = E[g(overshoot at level t)] by Monte Carlo,
-and evaluates E_inf with an adaptive 24-point Gauss-Legendre rule built
-from numpy arithmetic at import.  E_t and E_inf agree only as
-t -> infinity, and not monotonically: for steps whose Laplace transform
-L has 1 - L(z) with zeros near the imaginary axis, |E_t - E_inf| can stay
-at several hundredths for t in the tens and grow again later.  Averaged
-over levels in (0, T], E_t is within 2 * max|g| * max step / T of E_inf.
+half-line.  This module samples overshoots reproducibly, drawing steps
+panel by panel for the walkers still below t, estimates the finite-level
+expectation E_t = E[g(overshoot at level t)] by Monte Carlo, and evaluates
+E_inf with an adaptive 24-point Gauss-Legendre rule built from numpy
+arithmetic at import.  E_t and E_inf agree only as t -> infinity, and not
+monotonically: for steps whose Laplace transform L has 1 - L(z) with
+zeros near the imaginary axis, |E_t - E_inf| can stay at several
+hundredths for t in the tens and grow again later.  Averaged over levels
+in (0, T], E_t is within 2 * max|g| * max step / T of E_inf.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .ifs import DEFAULT_WORD_CAP
 # Fixed Monte Carlo chunk; the sample stream is a pure function of
 # (seed, chunk index), so totals do not depend on scheduling.
 _CHUNK = 1 << 16
-# Most step draws held at once while sampling a chunk.
-_BLOCK_ENTRIES = 1 << 19
 # Steps taken at a time by the walkers that have not crossed yet.
-_PANEL = 32
+_PANEL = 4
 
 
 @dataclass(frozen=True)
@@ -83,16 +82,15 @@ class RenewalResult:
     lattice: bool
 
 
-def _walk_length(lam: AuxiliaryMeasure, t: float) -> int:
-    """Steps drawn per walker: enough that all-smallest-step walks cross t."""
-    return math.ceil(t / min(lam.locations)) + 2
-
-
 def _check_walk(lam: AuxiliaryMeasure, t: float, walkers: int, cap: int) -> None:
-    """Reject a bad level, or a chunk whose step draws would exceed ``cap``."""
+    """Reject a bad level, or a chunk whose step draws could exceed ``cap``.
+
+    No walker needs more than ceil(t / smallest step) + 2 steps, so that
+    length times the walkers of one chunk bounds the draws of the chunk.
+    """
     if not (t > 0.0 and math.isfinite(t)):
         raise InputError(f"crossing level must be positive and finite, got {t!r}")
-    steps = _walk_length(lam, t)
+    steps = math.ceil(t / min(lam.locations)) + 2
     draws = steps * min(walkers, _CHUNK)
     if draws > cap:
         raise ResourceCapError(
@@ -107,45 +105,37 @@ def _chunk_overshoots(
     chunk_index: int,
     count: int,
 ) -> np.ndarray:
+    """Overshoots of one chunk of walkers, keyed by (seed, chunk index).
+
+    Walkers below t take _PANEL steps per ``rng.random((_PANEL, live))``
+    draw, entry [j, i] being step j of live walker i, so none draws past
+    the panel in which it crosses.  u reads as the atom that counts the
+    cumulative masses <= u, the last one excluded.
+    """
     locs = np.array(lam.locations)
     probs = np.array(lam.masses)
-    probs = probs / probs.sum()
-    # Generator.choice(K, size, p) builds this cdf, draws random(size) and
-    # returns cdf.searchsorted(u, side="right"), the number of cdf entries
-    # <= u.  The last entry is exactly 1 > u, so counting u >= cdf[k] over
-    # the others reads the same uniforms into the same atoms.
-    cdf = probs.cumsum()
+    cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
-    steps = _walk_length(lam, t)
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    rows = max(1, _BLOCK_ENTRIES // steps)
     out = np.empty(count)
-    # Row blocks read the same stream as one (count, steps) draw would.
-    for start in range(0, count, rows):
-        u = rng.random((min(rows, count - start), steps))
-        live = np.arange(len(u))
-        pos = np.zeros(len(u))
-        for col in range(0, steps, _PANEL):
-            panel = u[live, col:col + _PANEL]
-            atom = np.zeros(panel.shape, dtype=np.min_scalar_type(len(locs) - 1))
-            for c in cdf[:-1]:
-                atom += panel >= c
-            # One row per step, summed row after row (several times faster
-            # than cumsum here).  The carried position enters the first
-            # step, so every partial sum is the one a cumsum over the
-            # whole walk gives.
-            walk = locs.take(atom.T)
-            walk[0] += pos
-            for j in range(1, len(walk)):
-                np.add(walk[j - 1], walk[j], out=walk[j])
-            crossed = walk[-1] >= t
-            hit = walk[:, crossed]
-            first = np.argmax(hit >= t, axis=0)
-            out[start + live[crossed]] = hit[first, np.arange(len(first))] - t
-            live, pos = live[~crossed], walk[-1, ~crossed]
-            if not len(live):
-                break
+    live = np.arange(count)
+    pos = np.zeros(count)
+    while len(live):
+        u = rng.random((_PANEL, len(live)))
+        atom = np.zeros(u.shape, dtype=np.min_scalar_type(len(locs) - 1))
+        for c in cdf[:-1]:
+            atom += u >= c
+        # Row after row from the carried position (faster than cumsum).
+        walk = locs.take(atom)
+        walk[0] += pos
+        for j in range(1, _PANEL):
+            np.add(walk[j - 1], walk[j], out=walk[j])
+        crossed = walk[-1] >= t
+        # Partial sums increase, so the first one >= t is the least.
+        hit = walk[:, crossed]
+        out[live[crossed]] = np.where(hit >= t, hit, np.inf).min(axis=0) - t
+        live, pos = live[~crossed], walk[-1, ~crossed]
     return out
 
 
@@ -295,15 +285,16 @@ def renewal_expectation_mc(
 
     Samples are generated in fixed-size chunks keyed by (seed, chunk
     index), so results are bit-reproducible for a given seed and sample
-    count.  The standard error is sqrt(var(g) / n) with the scalar
+    count; within a chunk, walkers draw steps panel by panel until they
+    cross t.  The standard error is sqrt(var(g) / n) with the scalar
     variance of the complex values.  A lattice step law never forgets its
     phase, so the estimate need not approach the limit there; that case
     is flagged on the result and raises a warning.
 
-    Every walker draws ceil(t / smallest step) + 2 steps; that length
-    times the walkers of one chunk is checked against ``cap`` before any
-    draw, so the work per chunk stays bounded and the chunk count grows
-    linearly with ``n_samples``.
+    No walker needs more than ceil(t / smallest step) + 2 steps; that
+    length times the walkers of one chunk is checked against ``cap``
+    before any draw, so the work per chunk stays bounded and the chunk
+    count grows linearly with ``n_samples``.
     """
     _check_walk(lam, t, n_samples, cap)
     if n_samples < 100:

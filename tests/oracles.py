@@ -5,15 +5,16 @@ avoiding the code paths under test: breadth-first enumeration instead of
 the library's depth-first stack, an infinite-product formula for the
 Cantor transform, a binomial lattice recursion for overshoot laws, sine
 and cosine integrals for the stationary overshoot limit, and exact
-Fraction arithmetic for series values.  Four oracles are earlier
-versions of library code kept as references: the overshoot sampler that
-drew its steps with ``Generator.choice``, the row-by-row diagonal sweep,
-the regularity scan over every symbol multiset, and the Fraction
-refinement of Luroth cylinder intervals.
+Fraction arithmetic for series values.  The overshoot sampler's panel
+stream is restated as a loop over walkers and their steps.  Three oracles
+are earlier versions of library code kept as references: the row-by-row
+diagonal sweep, the regularity scan over every symbol multiset, and the
+Fraction refinement of Luroth cylinder intervals.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from fractions import Fraction
@@ -46,28 +47,38 @@ def bfs_stopping_words(ratios, threshold: float):
     return done
 
 
-def choice_overshoots(lam, t: float, seed: int, chunk_index: int,
-                      count: int) -> np.ndarray:
-    """Overshoots of one sample chunk, steps drawn by ``Generator.choice``.
+def panel_overshoots(lam, t: float, seed: int, chunk_index: int, count: int,
+                     panel: int) -> np.ndarray:
+    """Overshoots of one sample chunk, walked one walker and one step at a time.
 
-    Each walker draws ceil(t / smallest step) + 2 steps from the chunk's
-    Philox stream keyed by (seed, chunk index), rows in order, and
-    reports where its running sum first reaches t.
+    The chunk's Philox stream, keyed by (seed, chunk index), yields one
+    ``random((panel, live))`` block per round; column i holds the next
+    ``panel`` steps of the i-th walker still below t.  A uniform u picks
+    the atom bisect_right(cumulative masses but the last, u), and each
+    walker adds its steps one by one until its position reaches t.
     """
-    locs = np.array(lam.locations)
+    locs = [float(v) for v in lam.locations]
     probs = np.array(lam.masses)
-    probs = probs / probs.sum()
-    # Enough steps that even all-smallest-step walks cross t.
-    steps = int(math.ceil(t / float(locs.min()))) + 2
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    bounds = cdf[:-1].tolist()
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    rows = max(1, (1 << 21) // steps)
+    pos = [0.0] * count
     out = np.empty(count)
-    # Row blocks read the same stream as one (count, steps) draw would.
-    for start in range(0, count, rows):
-        n = min(rows, count - start)
-        sums = np.cumsum(locs[rng.choice(len(locs), size=(n, steps), p=probs)], axis=1)
-        out[start:start + n] = sums[np.arange(n), np.argmax(sums >= t, axis=1)] - t
+    live = list(range(count))
+    while live:
+        columns = rng.random((panel, len(live))).T.tolist()
+        below = []
+        for walker, steps in zip(live, columns):
+            for u in steps:
+                pos[walker] += locs[bisect.bisect_right(bounds, u)]
+                if pos[walker] >= t:
+                    out[walker] = pos[walker] - t
+                    break
+            else:
+                below.append(walker)
+        live = below
     return out
 
 

@@ -110,6 +110,13 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_dioph_scan_stops_at_cap(capsys):
+    # The candidate rows are counted against --cap before any is built.
+    code, _, err = run(["dioph-scan", "--spec", LUROTH_SPEC, "--b-max", "1e5",
+                        "--cap", "1000"], capsys)
+    assert code == 3 and "199783 candidate rows, cap=1000" in err
+
+
 def test_fourier_scan_stops_at_cap(capsys):
     # The default cap of 5e7 words stands between this family and the
     # machine's memory; the scan must give up quickly, before allocating.

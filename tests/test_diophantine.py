@@ -6,6 +6,7 @@ import pytest
 
 from selfsim import (
     InputError,
+    ResourceCapError,
     Similitude,
     WeightedIFS,
     auxiliary_measure,
@@ -87,6 +88,21 @@ def test_scan_stays_positive_off_lattice(luroth_lambda):
     b, gap, scaled = report.rows[len(report.rows) // 2]
     if gap > 0.0:
         assert scaled == pytest.approx(b ** 2.0 * gap, rel=1e-12)
+
+
+def test_scan_cap_counts_candidate_rows(luroth_lambda):
+    # The grid plus five candidates around each resonance 2*pi*k / location
+    # in [1, b_max] are counted before any array is built.
+    resonances = sum(1 for loc in luroth_lambda.locations for k in range(1, 1000)
+                     if 1.0 <= 2.0 * math.pi * k / loc <= 200.0)
+    count = 256 + 5 * resonances
+    report = weakly_diophantine_scan(luroth_lambda, 2.0, 200.0, 256, cap=count)
+    assert 256 < len(report.rows) <= count
+    with pytest.raises(ResourceCapError, match=f"needs {count} candidate rows, cap={count - 1}"):
+        weakly_diophantine_scan(luroth_lambda, 2.0, 200.0, 256, cap=count - 1)
+    # b_max * log 6 overflows to inf; the count still stops at the cap.
+    with pytest.raises(ResourceCapError):
+        weakly_diophantine_scan(luroth_lambda, 2.0, 1.7e308, 256)
 
 
 def test_scan_validation(luroth_lambda):

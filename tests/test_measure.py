@@ -140,6 +140,15 @@ def test_regularity_cap_counts_rows(luroth23):
         regularity_scan(luroth23, 40, cap=39)
 
 
+def test_regularity_min_scale_stays_positive_past_underflow():
+    # 42^-200 is about 1e-325, below the least positive float: the scale is
+    # rounded up, never down to 0, so the bound is not claimed at every length.
+    ifs = parse_spec('{"luroth":[2,3,5,7]}').ifs
+    report = regularity_scan(ifs, 200)
+    assert report.min_scale > 0.0
+    assert math.log(report.min_scale) >= 200 * min(math.log(m.ratio) for m in ifs.maps)
+
+
 def test_regularity_scan_is_linear_in_depth():
     # Levels 1..200 hold 70 058 750 symbol multisets; the scan visits 800 words.
     ifs = luroth_ifs((2, 3, 5, 7))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_disjoint_ifs
-from oracles import choice_overshoots, overshoot_expectation_dp, stationary_phase_expectation
+from oracles import overshoot_expectation_dp, panel_overshoots, stationary_phase_expectation
 from selfsim import (
     InputError,
     PreconditionError,
@@ -25,7 +25,7 @@ from selfsim import (
 )
 from selfsim.cli import parse_spec
 from selfsim.luroth import luroth_natural_ifs
-from selfsim.renewal import _CHUNK, _GL_NODES, _GL_WEIGHTS, _chunk_overshoots
+from selfsim.renewal import _CHUNK, _GL_NODES, _GL_WEIGHTS, _PANEL, _chunk_overshoots
 
 # Limit value of E exp(0.3i * overshoot) for the Luroth {2,3} walk, frozen
 # from the quadrature path and cross-checked by interval subdivision.
@@ -192,8 +192,9 @@ def test_renewal_validation(luroth_lambda):
 
 
 def test_chunk_memory_stays_bounded_for_long_walks():
-    # Steps of -log(0.9) need 287 draws per walker to cross t = 30, so one
-    # chunk drawn at once holds about 500 MB; row blocks keep it small.
+    # Steps of -log(0.9) need up to 287 draws per walker to cross t = 30,
+    # so one chunk drawn at once would hold about 150 MB; panels of steps
+    # for the walkers still below t keep it small.
     ifs = WeightedIFS((0, 1), (Similitude(0.9, 0.0), Similitude(0.05, 0.95)), (0.5, 0.5))
     lam = auxiliary_measure(ifs)
     tracemalloc.start()
@@ -208,7 +209,9 @@ def test_chunk_memory_stays_bounded_for_long_walks():
 
 
 # Step laws for the sampler identity: Luroth systems with two to eight
-# digits, the 9/10 walk (small steps, long walks) and a single map.
+# digits, the 9/10 walk (small steps, long walks) and a single map.  The
+# identity tests check the panel reference; their names date from the
+# stream's earlier Generator.choice reference.
 SAMPLER_SPECS = {
     "luroth23": '{"luroth": [2, 3]}',
     "luroth2-9": '{"luroth": [2, 3, 4, 5, 6, 7, 8, 9]}',
@@ -223,10 +226,15 @@ SAMPLER_SPECS = {
 def test_chunk_overshoots_match_choice_sampler(name, t):
     lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
     for chunk_index in (0, 7):
-        for count in (1, 999, _CHUNK):
-            want = choice_overshoots(lam, t, 42, chunk_index, count)
+        for count in (1, 999):
+            want = panel_overshoots(lam, t, 42, chunk_index, count, _PANEL)
             got = _chunk_overshoots(lam, t, 42, chunk_index, count)
             assert np.array_equal(got, want), (name, t, chunk_index, count)
+
+
+def test_chunk_overshoots_match_choice_sampler_for_a_full_chunk(luroth_lambda):
+    want = panel_overshoots(luroth_lambda, 30.0, 42, 3, _CHUNK, _PANEL)
+    assert np.array_equal(_chunk_overshoots(luroth_lambda, 30.0, 42, 3, _CHUNK), want)
 
 
 def test_chunk_overshoots_match_choice_sampler_with_many_atoms():
@@ -235,16 +243,25 @@ def test_chunk_overshoots_match_choice_sampler_with_many_atoms():
     ifs = WeightedIFS(tuple(range(300)), maps, tuple([1 / 300] * 300))
     lam = auxiliary_measure(ifs)
     got = _chunk_overshoots(lam, 20.0, 3, 1, 999)
-    assert np.array_equal(got, choice_overshoots(lam, 20.0, 3, 1, 999))
+    assert np.array_equal(got, panel_overshoots(lam, 20.0, 3, 1, 999, _PANEL))
 
 
+# The reference walks one step at a time in Python, so counts stay small.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.05, 40.0),
-       chunk_index=st.integers(0, 2 ** 20), count=st.integers(1, 3000))
+       chunk_index=st.integers(0, 2 ** 20), count=st.integers(1, 500))
 def test_chunk_overshoots_match_choice_sampler_property(seed, t, chunk_index, count):
     lam = auxiliary_measure(random_disjoint_ifs(np.random.default_rng(seed)))
     assert np.array_equal(_chunk_overshoots(lam, t, seed, chunk_index, count),
-                          choice_overshoots(lam, t, seed, chunk_index, count))
+                          panel_overshoots(lam, t, seed, chunk_index, count, _PANEL))
+
+
+def test_renewal_mc_matches_exact_law_for_the_ninety_walk():
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["ninety"]).ifs)
+    g = phase_test_function(0.3)
+    want = overshoot_expectation_dp(lam.locations, lam.masses, 30.0, g)
+    result = renewal_expectation_mc(lam, g, 30.0, n_samples=200_000, seed=8)
+    assert abs(result.mc_estimate - want) <= 4.0 * result.mc_stderr
 
 
 def test_walk_length_is_capped_before_drawing(luroth_lambda):
