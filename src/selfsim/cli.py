@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -28,6 +29,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from . import __version__
 from .dimension import natural_weights, solve_moran
@@ -143,22 +146,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+# Rows per encoded block of a CSV table.
+_BLOCK_ROWS = 8192
+
+
+def _csv_blocks(header: list[str], rows):
+    """The CSV text of one table, header first, then blocks of rows.
+
+    A float array renders each row with one "%.17g,...,%.17g\r\n" format,
+    which gives the bytes of csv.writer over _fmt's format(v, ".17g");
+    other tables are rows of tuples and go through csv.writer and _fmt.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    yield buf.getvalue()
+    array = isinstance(rows, np.ndarray)
+    if array:
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        if array:
+            yield (line * len(block)) % tuple(block.ravel().tolist())
+        else:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerows([_fmt(v) for v in row] for row in block)
+            yield buf.getvalue()
 
 
 def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: dict,
-                     tables: dict[str, tuple[list[str], list[tuple]]],
+                     tables: dict[str, tuple[list[str], object]],
                      started: float) -> None:
     """Write one CSV per table plus a JSON sidecar describing the run.
 
     The primary table lands at ``args.out``; any extra table is written
-    next to it with its name inserted before the .csv suffix.  The sidecar
-    records each table's header, row count and CSV digest, not its rows.
+    next to it with its name inserted before the .csv suffix.  A table's
+    rows are tuples, or one float array.  The sidecar records each
+    table's header, row count and CSV sha256, not its rows; the hash is
+    taken from the bytes as they are written, so no CSV is read back.
     """
     base, ext = os.path.splitext(args.out)
     if ext.lower() != ".csv":
@@ -166,12 +192,13 @@ def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: di
     written = {}
     for name, (header, rows) in tables.items():
         path = base + ext if name == "main" else f"{base}.{name}{ext}"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-        written[name] = {"header": header, "rows": len(rows), "sha256": _file_sha256(path)}
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for text in _csv_blocks(header, rows):
+                data = text.encode("utf-8")
+                fh.write(data)
+                digest.update(data)
+        written[name] = {"header": header, "rows": len(rows), "sha256": digest.hexdigest()}
     sidecar = {
         "version": __version__,
         "command": args.command,

@@ -38,6 +38,15 @@ HUGE_QUOTIENT = 10 ** 8
 # Atom locations closer than this are merged.
 ATOM_MERGE_TOL = 1e-12
 
+# A numpy exponent l*log(b) + log(gap) at or above this has a libm value
+# of at least 709, so _scaled_gap gives inf.  Near the cut both terms are
+# below about 1500 in size (a positive gap is at least 5e-324), where the
+# last-bit differences of the two logs move the exponent by far less than 1.
+_SURELY_INF = 710.0
+
+# Rows per pass of _scaled_gap over the scan, which bounds its Python floats.
+_SCALED_BLOCK = 1 << 15
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
@@ -92,26 +101,27 @@ def laplace_transform(lam: AuxiliaryMeasure, z: complex) -> complex:
     return complex(sum(m * cmath.exp(-z * loc) for loc, m in lam.atoms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiophantineReport:
     """Scan of the resonance gap b -> |1 - L(i*b)| against the power b^l.
 
-    ``rows`` holds (b, gap, scaled) with scaled = b^l * gap, b ascending.
-    ``log_c`` is a Baker-type constant when one applies, else nan.
+    ``rows`` is a read-only (n, 3) float array with columns b, gap and
+    scaled = b^l * gap, b ascending.  ``log_c`` is a Baker-type constant
+    when one applies, else nan.
     """
 
     degree_l: float
     log_c: float
-    rows: tuple[tuple[float, float, float], ...]
+    rows: np.ndarray
     lattice: bool
 
     @property
     def scan_min(self) -> float:
-        return min(r[1] for r in self.rows)
+        return float(self.rows[:, 1].min())
 
     @property
     def scan_argmin(self) -> float:
-        return min(self.rows, key=lambda r: r[1])[0]
+        return float(self.rows[np.argmin(self.rows[:, 1]), 0])
 
 
 def _scaled_gap(b: float, gap: float, l: float) -> float:
@@ -123,6 +133,23 @@ def _scaled_gap(b: float, gap: float, l: float) -> float:
     if e >= 709.0:
         return math.inf
     return math.exp(e)
+
+
+def _scaled_column(bs: np.ndarray, gaps: np.ndarray, l: float) -> np.ndarray:
+    """_scaled_gap of every (b, gap) pair, bit for bit, as a float array.
+
+    numpy's log may differ from libm's in the last bit, so it only picks
+    the rows that are surely inf; the others take _scaled_gap itself, a
+    block of rows at a time.
+    """
+    scaled = np.full(len(bs), math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.flatnonzero(~(l * np.log(bs) + np.log(gaps) >= _SURELY_INF))
+    for start in range(0, len(rest), _SCALED_BLOCK):
+        block = rest[start:start + _SCALED_BLOCK]
+        scaled[block] = [_scaled_gap(b, g, l)
+                         for b, g in zip(bs[block].tolist(), gaps[block].tolist())]
+    return scaled
 
 
 def weakly_diophantine_scan(
@@ -140,6 +167,8 @@ def weakly_diophantine_scan(
     atom locations share a common multiple of 2*pi/b, the lattice case,
     which is also reported.  The candidate count, grid plus five per
     resonance, is checked against ``cap`` before any array is built.
+    The rows come back as one read-only (n, 3) float array
+    [b, gap, scaled], whose scaled column is _scaled_gap of each row.
     """
     if not (l > 0.0 and math.isfinite(l)):
         raise InputError(f"power must be positive and finite, got {l!r}")
@@ -169,10 +198,8 @@ def weakly_diophantine_scan(
     masses = np.array(lam.masses)
     transform = np.exp(-1j * np.outer(bs, locs)) @ masses
     gaps = np.abs(1.0 - transform)
-    rows = tuple(
-        (float(b), float(g), _scaled_gap(float(b), float(g), l))
-        for b, g in zip(bs, gaps)
-    )
+    rows = np.column_stack((bs, gaps, _scaled_column(bs, gaps, l)))
+    rows.flags.writeable = False
     return DiophantineReport(
         degree_l=float(l),
         log_c=math.nan,

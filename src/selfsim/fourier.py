@@ -19,7 +19,8 @@ from .errors import InputError
 # stopping_words is unused here but stays importable under this name:
 # bench/child.py wraps selfsim.fourier.stopping_words when tracing, and
 # `--trace 1` fails with AttributeError without it.
-from .ifs import DEFAULT_WORD_CAP, WeightedIFS, _stopping_states, stopping_words  # noqa: F401
+from .ifs import (  # noqa: F401
+    DEFAULT_WORD_CAP, WeightedIFS, _single_map_word, _stopping_states, stopping_words)
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,10 +75,14 @@ def _family_sums(
     time, and frequencies are processed in blocks of at most
     _FOLD_ENTRIES entries per level.  The angles carry the sign of xi
     through exact negations only, so conjugate frequencies give exactly
-    conjugate values.
+    conjugate values.  A single map's family is one word, whose term is
+    taken directly.
     """
-    levels, words = _stopping_states(ifs, t, cap)
     xis = np.asarray(xis, dtype=float)
+    if ifs.size == 1:
+        _, ratio, lo, mass = _single_map_word(ifs, t, cap)
+        return mass * np.exp(1j * (-TWO_PI * (lo + 0.5 * ratio) * xis)), 1
+    levels, words = _stopping_states(ifs, t, cap)
     rows = max(1, _FOLD_ENTRIES // max(len(ratio) for ratio, _ in levels))
     values = np.empty(len(xis), dtype=complex)
     for start in range(0, len(xis), rows):

@@ -213,6 +213,36 @@ class StoppingFamily:
         return math.fsum(w.weight_product for w in self.words)
 
 
+def _check_stopping_args(t: float, cap: int) -> None:
+    if not (t > 0.0 and math.isfinite(t)):
+        raise InputError(f"stopping time must be positive and finite, got {t!r}")
+    if cap < 1:
+        raise InputError(f"word cap must be at least 1, got {cap!r}")
+
+
+def _single_map_word(ifs: WeightedIFS, t: float, cap: int) -> tuple[int, float, float, float]:
+    """The one word of a single-map system's stopping family at scale exp(-t).
+
+    Returns its length, ratio product, cylinder start and mass.  The
+    length is found by the stopping rule of _stopping_states, one scalar
+    step per symbol: the running ratio product stays internal while
+    ratio * r > exp(-t).  Cylinder start and mass accumulate as _refine
+    builds them, so the word equals the one the level walk gives.
+    """
+    _check_stopping_args(t, cap)
+    (m,), (p,) = ifs.maps, ifs.weights
+    threshold = math.exp(-t)
+    n, ratio, lo, mass = 0, 1.0, 0.0, 1.0
+    while True:
+        n += 1
+        lo = lo + ratio * m.translation
+        mass = mass * p
+        child = ratio * m.ratio
+        if child <= threshold:
+            return n, child, lo, mass
+        ratio = child
+
+
 def _stopping_states(
     ifs: WeightedIFS, t: float, cap: int,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
@@ -235,12 +265,10 @@ def _stopping_states(
     where the words found plus the nodes of the next level, each of which
     roots a word of its own, exceed ``cap``; with two or more maps the
     states met stay below that bound.  A single map has a one-word family
-    at depth about t / -log(ratio), whatever the cap.
+    at depth about t / -log(ratio), whatever the cap; _single_map_word
+    builds that word without a state per level.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InputError(f"stopping time must be positive and finite, got {t!r}")
-    if cap < 1:
-        raise InputError(f"word cap must be at least 1, got {cap!r}")
+    _check_stopping_args(t, cap)
     threshold = math.exp(-t)
     ratios = [m.ratio for m in ifs.maps]
     # Internal states have fewer than t / -log(max_ratio) symbols.
@@ -312,6 +340,9 @@ def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> S
     decomposition over the family requires.  ResourceCapError is raised
     when the family has more than ``cap`` words, before any word is built.
     """
+    if ifs.size == 1:
+        n, ratio, lo, mass = _single_map_word(ifs, t, cap)
+        return StoppingFamily(t, (Word(ifs.symbols * n, ratio, mass, lo),))
     levels, _ = _stopping_states(ifs, t, cap)
     out: list[Word] = []
     # The internal nodes of one level: state index, symbols, cylinder start, mass.

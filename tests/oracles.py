@@ -6,16 +6,19 @@ the library's depth-first stack, an infinite-product formula for the
 Cantor transform, a binomial lattice recursion for overshoot laws, sine
 and cosine integrals for the stationary overshoot limit, and exact
 Fraction arithmetic for series values.  The overshoot sampler's panel
-stream is restated as a loop over walkers and their steps.  Three oracles
+stream is restated as a loop over walkers and their steps.  Four oracles
 are earlier versions of library code kept as references: the row-by-row
-diagonal sweep, the regularity scan over every symbol multiset, and the
-Fraction refinement of Luroth cylinder intervals.
+diagonal sweep, the regularity scan over every symbol multiset, the
+Fraction refinement of Luroth cylinder intervals, and the CSV rendering
+of a table row by row through csv.writer.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import csv
+import io
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -234,3 +237,26 @@ def luroth_cylinders(digits, level: int) -> tuple[tuple[Fraction, Fraction], ...
     for _ in range(level):
         cylinders = [(lo + width * b, width * r) for lo, width in cylinders for r, b in maps]
     return tuple(sorted((lo, lo + width) for lo, width in cylinders))
+
+
+def csv_bytes(header, rows) -> bytes:
+    """A CSV table as the CLI wrote it row by row through csv.writer.
+
+    Floats are rendered with format(v, ".17g"), booleans as true/false,
+    Fractions as "p/q" and anything else with str; lines end in CRLF.
+    """
+    def fmt(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue().encode("utf-8")

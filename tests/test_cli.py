@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -8,13 +9,17 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from selfsim import InputError
+import selfsim.cli
+from oracles import csv_bytes
+from selfsim import InputError, auxiliary_measure, matveev_degree, weakly_diophantine_scan
 from selfsim.cli import main, parse_spec
 
 LUROTH_SPEC = '{"luroth": [2, 3]}'
 CANTOR_SPEC = '{"maps": [["1/3", "0"], ["1/3", "2/3"]]}'
+NINETY_SPEC = '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}'
 
 
 def run(args, capsys):
@@ -222,6 +227,39 @@ def test_dioph_scan_command(capsys):
     code, _, _ = run(["dioph-scan", "--spec", CANTOR_SPEC, "--l", "2",
                       "--b-max", "50", "--grid", "64"], capsys)
     assert code == 0
+
+
+def test_csv_blocks_render_like_the_row_writer():
+    header = ["a", "b", "c"]
+    values = [[1.0, -0.0, math.inf], [-math.inf, math.nan, 0.1], [1e16, 5e-324, -2.5e-300],
+              [1 / 3, 1e22, 123456789.0]]
+    text = "".join(selfsim.cli._csv_blocks(header, np.array(values)))
+    assert text.encode("utf-8") == csv_bytes(header, values)
+    mixed = [(True, Fraction(2, 3), 7, "cylinder", 0.5), (False, Fraction(-1, 4), 0, "x", math.nan)]
+    text = "".join(selfsim.cli._csv_blocks(list("vwxyz"), mixed))
+    assert text.encode("utf-8") == csv_bytes(list("vwxyz"), mixed)
+
+
+@pytest.mark.parametrize("spec,power,b_max", [
+    (LUROTH_SPEC, None, "2e4"),
+    (NINETY_SPEC, 2.0, "3e3"),
+], ids=["luroth", "ninety"])
+def test_dioph_scan_csv_bytes_match_the_row_writer(spec, power, b_max, tmp_path, capsys):
+    argv = ["dioph-scan", "--spec", spec, "--b-max", b_max, "--out", str(tmp_path / "d.csv")]
+    if power is not None:
+        argv += ["--l", str(power)]
+    else:
+        power = 2.0 * matveev_degree(2, 3) - 2.0
+    assert run(argv, capsys)[0] == 0
+    report = weakly_diophantine_scan(
+        auxiliary_measure(parse_spec(spec).ifs), power, float(b_max), 2048)
+    # The table spans more than one write block.
+    assert len(report.rows) > selfsim.cli._BLOCK_ROWS
+    data = (tmp_path / "d.csv").read_bytes()
+    assert data == csv_bytes(["b", "gap", "scaled_gap"], report.rows.tolist())
+    table = json.loads((tmp_path / "d.json").read_text())["tables"]["main"]
+    assert table["sha256"] == hashlib.sha256(data).hexdigest()
+    assert table["rows"] == len(report.rows)
 
 
 def test_regularity_and_diagonal_commands(capsys):

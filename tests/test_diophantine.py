@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from selfsim import (
+    DiophantineReport,
     InputError,
     ResourceCapError,
     Similitude,
@@ -20,6 +21,8 @@ from selfsim import (
     perfect_power_free,
     weakly_diophantine_scan,
 )
+from selfsim import diophantine
+from selfsim.diophantine import _scaled_column, _scaled_gap
 from selfsim.luroth import luroth_natural_ifs
 
 
@@ -103,6 +106,63 @@ def test_scan_cap_counts_candidate_rows(luroth_lambda):
     # b_max * log 6 overflows to inf; the count still stops at the cap.
     with pytest.raises(ResourceCapError):
         weakly_diophantine_scan(luroth_lambda, 2.0, 1.7e308, 256)
+
+
+def scaled_bits(bs, gaps, l):
+    """The scaled column row by row through _scaled_gap, as raw float bits."""
+    return np.array([_scaled_gap(b, g, l) for b, g in zip(bs, gaps)]).view(np.uint64)
+
+
+@pytest.mark.parametrize("l,b_max", [(2.0 * matveev_degree(2, 3) - 2.0, 2e4), (2.0, 2e4)],
+                         ids=["luroth-degree", "square"])
+def test_scan_rows_are_one_array(luroth_lambda, l, b_max):
+    report = weakly_diophantine_scan(luroth_lambda, l, b_max, 2048)
+    rows = report.rows
+    assert isinstance(rows, np.ndarray) and rows.shape == (len(rows), 3)
+    assert rows.dtype == np.float64 and not rows.flags.writeable
+    bs, gaps = rows[:, 0].tolist(), rows[:, 1].tolist()
+    assert np.array_equal(rows[:, 2].view(np.uint64), scaled_bits(bs, gaps, l))
+    assert report.scan_min == min(gaps)
+    assert report.scan_argmin == bs[gaps.index(min(gaps))]
+    b, gap, scaled = rows[len(rows) // 2]
+    assert (b, gap) == (bs[len(rows) // 2], gaps[len(rows) // 2])
+
+
+def test_scan_argmin_takes_the_first_minimum():
+    rows = np.array([[1.0, 0.5, 0.0], [2.0, 0.25, 0.0], [3.0, 0.25, 0.0]])
+    report = DiophantineReport(2.0, math.nan, rows, False)
+    assert report.scan_min == 0.25 and report.scan_argmin == 2.0
+
+
+def test_scaled_column_is_scaled_gap_bit_for_bit(monkeypatch):
+    # Small blocks, so the rows numpy leaves to _scaled_gap span several.
+    monkeypatch.setattr(diophantine, "_SCALED_BLOCK", 7)
+    l = 1000.0
+    bs, gaps = [], []
+    # One-ulp steps of b around exp(0.709) and exp(0.710) move the exponent
+    # 1000 * log(b) across 709, where _scaled_gap turns inf, and across the
+    # cut above which numpy alone decides the row.
+    for center in (math.exp(0.709), math.exp(0.710)):
+        b = center
+        for _ in range(20):
+            b = math.nextafter(b, 0.0)
+        for _ in range(40):
+            bs.append(b)
+            gaps.append(1.0)
+            b = math.nextafter(b, math.inf)
+    bs += [2.0, 2.0, 1.0, 1e300, 1e300, 3.0]
+    gaps += [0.0, 5e-324, 1.0, 0.0, 1e-300, 1e-200]
+    scaled = _scaled_column(np.array(bs), np.array(gaps), l)
+    assert np.array_equal(scaled.view(np.uint64), scaled_bits(bs, gaps, l))
+    assert 0.0 in scaled and math.inf in scaled
+    finite = scaled[np.isfinite(scaled)]
+    assert finite.max() > math.exp(708.9999)
+    # On some numpy builds np.log and math.log of this b differ in the last
+    # bit, and this l puts the exponent at 709.0 by one and just below by
+    # the other: only _scaled_gap may decide such a row.
+    b, l = 64818.84011583974, 63.992914631642435
+    scaled = _scaled_column(np.array([b]), np.array([1.0]), l)
+    assert np.array_equal(scaled.view(np.uint64), scaled_bits([b], [1.0], l))
 
 
 def test_scan_validation(luroth_lambda):

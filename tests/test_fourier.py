@@ -213,3 +213,18 @@ def test_mu_hat_validation(luroth23):
         mu_hat_monte_carlo(luroth23, 1.0, samples=0, depth=5, seed=1)
     with pytest.raises(InputError):
         mu_hat_monte_carlo(luroth23, 1.0, samples=10, depth=0, seed=1)
+
+
+@pytest.mark.parametrize("r,b", [(0.99999, 0.0), (0.9, 0.05), (0.5, 0.5), (0.2, 0.3)])
+def test_single_map_transform_is_the_fixed_point_phase(r, b):
+    # The measure is the point mass at the fixed point b / (1 - r).
+    ifs = WeightedIFS((0,), (Similitude(r, b),), (1.0,))
+    fixed = b / (1.0 - r)
+    for t in (3.0, 12.0):
+        samples, _ = dyadic_scan(ifs, 1e3, 4, t)
+        for s in samples:
+            assert s.cost == 1
+            assert abs(s.value - cmath.exp(-2j * math.pi * s.xi * fixed)) <= s.error_bound
+        minus, plus = mu_hat_cylinder(ifs, -7.0, t), mu_hat_cylinder(ifs, 7.0, t)
+        assert minus.value == plus.value.conjugate()
+        assert abs(plus.value - cmath.exp(-14j * math.pi * fixed)) <= plus.error_bound

@@ -229,6 +229,32 @@ def test_single_map_family_is_one_word_at_any_depth():
         stopping_words(ifs, 10.0, cap=0)
 
 
+@pytest.mark.parametrize("r,b,p,t", [
+    (0.5, 0.25, 1.0, 10.0), (0.99, 0.0, 1.0, 3.0), (0.9, 0.05, 1.0, 20.0),
+    (0.3, 0.7, 1.0 - 4e-13, 30.0), (0.7, 0.1, 1.0, 1e-3), (0.5, 0.5, 1.0, 800.0),
+])
+def test_single_map_word_follows_the_walk(r, b, p, t):
+    ifs = WeightedIFS(("a",), (Similitude(r, b),), (p,))
+    (word,) = stopping_words(ifs, t, cap=1).words
+    (want,) = bfs_stopping_words([r], math.exp(-t))
+    assert word.symbols == ("a",) * len(want)
+    # compose_word takes the running products of r and of p, as the walk does.
+    ref = compose_word(ifs, word.symbols)
+    assert word.ratio_product == ref.ratio_product
+    assert word.weight_product == ref.weight_product
+    assert word.intercept == pytest.approx(
+        b * (1.0 - word.ratio_product) / (1.0 - r), rel=1e-12, abs=1e-300)
+
+
+def test_single_map_long_word_without_a_level_walk():
+    # About 3e5 symbols, found one scalar step each.
+    ifs = WeightedIFS((0,), (Similitude(0.99999, 0.0),), (1.0,))
+    (word,) = stopping_words(ifs, 3.0).words
+    assert len(word) == math.ceil(3.0 / -math.log(0.99999))
+    assert math.exp(-3.0) * 0.99999 < word.ratio_product <= math.exp(-3.0)
+    assert word.intercept == 0.0 and word.weight_product == 1.0
+
+
 def test_stopping_family_cap_checked_before_words_are_built(luroth23):
     # 252 527 words at t=20; the state walk that sizes the family holds a
     # few hundred entries, and no Word is built before the error.
