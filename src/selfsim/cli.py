@@ -392,7 +392,7 @@ def _renewal(args, spec):
     lam = auxiliary_measure(spec.ifs)
     g = phase_test_function(args.s)
     result = renewal_expectation_mc(lam, g, args.t, args.samples, args.seed,
-                                    cap=args.cap)
+                                    cap=args.cap, threads=args.threads)
     summary = {
         "t": result.t,
         "mc_re": result.mc_estimate.real,
@@ -499,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
                        help="enumeration cap (default %(default)s)")
         p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility, at least 1; every command "
-                            "runs single-threaded")
+                       help="worker threads, at least 1 (default: the available "
+                            "CPUs); renewal samples that many chunks at once, and "
+                            "no command's output depends on it")
         p.add_argument("--seed", type=int, default=0,
                        help="random seed (default %(default)s)")
         for names, kwargs in command.flags:

@@ -227,10 +227,16 @@ def _single_map_word(ifs: WeightedIFS, t: float, cap: int) -> tuple[int, float, 
     length is found by the stopping rule of _stopping_states, one scalar
     step per symbol: the running ratio product stays internal while
     ratio * r > exp(-t).  Cylinder start and mass accumulate as _refine
-    builds them, so the word equals the one the level walk gives.
+    builds them, so the word equals the one the level walk gives.  The
+    walk takes at most ceil(t / -log r) + 1 steps; ResourceCapError is
+    raised, before the first step, iff that bound exceeds ``cap``.
     """
     _check_stopping_args(t, cap)
     (m,), (p,) = ifs.maps, ifs.weights
+    steps = math.ceil(t / -math.log(m.ratio)) + 1
+    if steps > cap:
+        raise ResourceCapError(
+            f"single-map stopping word for t={t!r} needs up to {steps} steps, cap={cap}")
     threshold = math.exp(-t)
     n, ratio, lo, mass = 0, 1.0, 0.0, 1.0
     while True:
@@ -265,8 +271,8 @@ def _stopping_states(
     where the words found plus the nodes of the next level, each of which
     roots a word of its own, exceed ``cap``; with two or more maps the
     states met stay below that bound.  A single map has a one-word family
-    at depth about t / -log(ratio), whatever the cap; _single_map_word
-    builds that word without a state per level.
+    at depth about t / -log(ratio); _single_map_word builds that word
+    without a state per level, and the cap bounds its steps instead.
     """
     _check_stopping_args(t, cap)
     threshold = math.exp(-t)
@@ -338,7 +344,9 @@ def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> S
     (see Word), so the family's cylinders are nested below their prefixes
     and pairwise disjoint up to endpoints, which is what the measure
     decomposition over the family requires.  ResourceCapError is raised
-    when the family has more than ``cap`` words, before any word is built.
+    when the family has more than ``cap`` words, before any word is built;
+    for a single map, whose one word is found by a walk of up to
+    ceil(t / -log r) + 1 steps, when that step bound exceeds ``cap``.
     """
     if ifs.size == 1:
         n, ratio, lo, mass = _single_map_word(ifs, t, cap)

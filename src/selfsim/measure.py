@@ -20,7 +20,7 @@ from .errors import InputError, PreconditionError, ResourceCapError
 from .ifs import DEFAULT_WORD_CAP, WeightedIFS, Word, _refine, validate_disjointness
 
 # Most cylinder pairs held at once by the diagonal sweep.
-_PAIR_ENTRIES = 1 << 18
+_PAIR_ENTRIES = 1 << 16
 
 
 def cylinder_mass(ifs: WeightedIFS, word: Word) -> float:

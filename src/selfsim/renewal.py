@@ -5,11 +5,13 @@ a level t with some overshoot; for non-lattice step laws the overshoot
 law stabilises as t grows, with limiting expectation
 E_inf = integral(g * survival) / integral(survival) over the positive
 half-line.  This module samples overshoots reproducibly, drawing steps
-panel by panel for the walkers still below t, estimates the finite-level
-expectation E_t = E[g(overshoot at level t)] by Monte Carlo, and evaluates
-E_inf with an adaptive 24-point Gauss-Legendre rule built from numpy
-arithmetic at import.  E_t and E_inf agree only as t -> infinity, and not
-monotonically: for steps whose Laplace transform L has 1 - L(z) with
+panel by panel for the walkers still below t, and estimates the
+finite-level expectation E_t = E[g(overshoot at level t)] by Monte Carlo.
+Chunks of walkers are sampled on up to one thread each and folded in
+chunk order on the calling thread, so no value depends on the thread
+count.  E_inf comes from an adaptive 24-point Gauss-Legendre rule built
+from numpy arithmetic at import.  E_t and E_inf agree only as
+t -> infinity, and not monotonically: for steps whose Laplace transform L has 1 - L(z) with
 zeros near the imaginary axis, |E_t - E_inf| can stay at several
 hundredths for t in the tens and grow again later.  Averaged over levels
 in (0, T], E_t is within 2 * max|g| * max step / T of E_inf.
@@ -18,8 +20,11 @@ in (0, T], E_t is within 2 * max|g| * max step / T of E_inf.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -98,44 +103,95 @@ def _check_walk(lam: AuxiliaryMeasure, t: float, walkers: int, cap: int) -> None
             f"per chunk, cap={cap}")
 
 
+class _Slot:
+    """Work arrays of one chunk in flight, for up to ``size`` walkers.
+
+    The panel of uniforms becomes the panel of walk positions in place;
+    the atom indices, mask and crossing rows serve one panel row at a
+    time.  The walkers still below t and their positions alternate
+    between two buffers each, starting from ``index`` and zero.  That is
+    97 bytes per walker (6 MB for a full chunk), allocated once by the
+    calling thread: temporaries made on a worker would go to that
+    thread's malloc arena, which keeps them after they are freed.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.panel = np.empty(_PANEL * size)
+        self.atom = np.empty(size, dtype=np.intp)
+        self.mask = np.empty(size, dtype=bool)
+        self.first = np.empty(size)
+        self.row = np.empty(size)
+        self.index = np.arange(size)
+        self.live = (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
+        self.pos = (np.empty(size), np.empty(size))
+
+
 def _chunk_overshoots(
     lam: AuxiliaryMeasure,
     t: float,
     seed: int,
     chunk_index: int,
     count: int,
+    slot: _Slot | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Overshoots of one chunk of walkers, keyed by (seed, chunk index).
 
     Walkers below t take _PANEL steps per ``rng.random((_PANEL, live))``
     draw, entry [j, i] being step j of live walker i, so none draws past
     the panel in which it crosses.  u reads as the atom that counts the
-    cumulative masses <= u, the last one excluded.
+    cumulative masses <= u, the last one excluded.  Every array but the
+    small index lists of each panel lives in ``slot`` and ``out``, so a
+    worker thread allocates next to nothing.  Indices are always in
+    range; mode="clip" only keeps ``take`` from buffering its output.
     """
+    slot = _Slot(count) if slot is None else slot
+    out = np.empty(count) if out is None else out
     locs = np.array(lam.locations)
     probs = np.array(lam.masses)
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
+    bounds = cdf[:-1]
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    out = np.empty(count)
-    live = np.arange(count)
-    pos = np.zeros(count)
+    live, pos = slot.index[:count], slot.pos[0][:count]
+    pos.fill(0.0)
+    flip = 1
     while len(live):
-        u = rng.random((_PANEL, len(live)))
-        atom = np.zeros(u.shape, dtype=np.min_scalar_type(len(locs) - 1))
-        for c in cdf[:-1]:
-            atom += u >= c
+        n = len(live)
+        walk = slot.panel[:_PANEL * n].reshape(_PANEL, n)
+        rng.random(out=walk)
+        atom, mask = slot.atom[:n], slot.mask[:n]
+        for row in walk:
+            atom.fill(0)
+            for c in bounds:
+                np.add(atom, np.greater_equal(row, c, out=mask), out=atom)
+            locs.take(atom, out=row, mode="clip")
         # Row after row from the carried position (faster than cumsum).
-        walk = locs.take(atom)
         walk[0] += pos
         for j in range(1, _PANEL):
             np.add(walk[j - 1], walk[j], out=walk[j])
-        crossed = walk[-1] >= t
-        # Partial sums increase, so the first one >= t is the least.
-        hit = walk[:, crossed]
-        out[live[crossed]] = np.where(hit >= t, hit, np.inf).min(axis=0) - t
-        live, pos = live[~crossed], walk[-1, ~crossed]
+        crossed = np.greater_equal(walk[-1], t, out=mask)
+        hits = np.flatnonzero(crossed)
+        if not len(hits):
+            np.copyto(pos, walk[-1])
+            continue
+        keep = np.flatnonzero(np.logical_not(crossed, out=mask))
+        # Partial sums increase, so the first one >= t is the least: the
+        # last row, overwritten by each earlier row that is >= t.
+        k = len(hits)
+        first, row, reached = slot.first[:k], slot.row[:k], slot.mask[:k]
+        walk[-1].take(hits, out=first, mode="clip")
+        for j in range(_PANEL - 2, -1, -1):
+            walk[j].take(hits, out=row, mode="clip")
+            np.copyto(first, row, where=np.greater_equal(row, t, out=reached))
+        np.subtract(first, t, out=first)
+        out[live.take(hits, out=slot.atom[:k], mode="clip")] = first
+        live = live.take(keep, out=slot.live[flip][:len(keep)], mode="clip")
+        pos = walk[-1].take(keep, out=slot.pos[flip][:len(keep)], mode="clip")
+        flip ^= 1
+        # Only these two lists are allocated per panel; none outlives it.
+        del hits, keep
     return out
 
 
@@ -148,6 +204,55 @@ def sample_overshoot(
     """
     _check_walk(lam, t, 1, cap)
     return float(_chunk_overshoots(lam, t, seed, 0, 1)[0])
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_chunks(
+    lam: AuxiliaryMeasure,
+    t: float,
+    seed: int,
+    n_samples: int,
+    threads: int,
+    consume: Callable[[np.ndarray], None],
+) -> None:
+    """Pass the overshoots of each chunk to ``consume``, in chunk order.
+
+    Up to ``threads`` chunks are sampled at once, each on a thread pool
+    worker with its own slot of work arrays; ``consume`` runs on the
+    calling thread, and chunk i + threads is started only once chunk i
+    has been consumed and its slot is free.  With one chunk or one
+    thread everything runs inline.  Each chunk's stream depends on
+    (seed, chunk index) alone, so the overshoots do not depend on
+    ``threads``.
+    """
+    counts = [min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
+    workers = min(threads, len(counts))
+    slots = [_Slot(counts[0]) for _ in range(workers)]
+    if workers == 1:
+        for index, count in enumerate(counts):
+            consume(_chunk_overshoots(lam, t, seed, index, count, slots[0]))
+        return
+    # Imported here so that loading the CLI does not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def submit(index: int):
+        # The output array is allocated here, on the calling thread.
+        return pool.submit(_chunk_overshoots, lam, t, seed, index, counts[index],
+                           slots[index % workers], np.empty(counts[index]))
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(submit(index) for index in range(workers))
+        for index in range(len(counts)):
+            consume(pending.popleft().result())
+            if index + workers < len(counts):
+                pending.append(submit(index + workers))
 
 
 def _apply_observable(g, z: np.ndarray) -> np.ndarray:
@@ -274,6 +379,7 @@ def renewal_expectation_mc(
     n_samples: int,
     seed: int,
     cap: int = DEFAULT_WORD_CAP,
+    threads: int | None = None,
 ) -> RenewalResult:
     """Monte Carlo estimate of E_t next to the stationary limit E_inf.
 
@@ -295,7 +401,14 @@ def renewal_expectation_mc(
     length times the walkers of one chunk is checked against ``cap``
     before any draw, so the work per chunk stays bounded and the chunk
     count grows linearly with ``n_samples``.
+
+    Up to ``threads`` chunks (default: the CPUs this process may use) are
+    sampled at once on a thread pool; ``g`` is applied on the calling
+    thread in chunk order, so the result is the same for every thread
+    count and ``g`` need not be thread-safe.
     """
+    if threads is not None and threads < 1:
+        raise InputError(f"thread count must be at least 1, got {threads!r}")
     _check_walk(lam, t, n_samples, cap)
     if n_samples < 100:
         raise PreconditionError(f"need at least 100 samples, got {n_samples!r}")
@@ -307,17 +420,14 @@ def renewal_expectation_mc(
     sums_re: list[float] = []
     sums_im: list[float] = []
     sums_sq: list[float] = []
-    done = 0
-    chunk_index = 0
-    while done < n_samples:
-        count = min(_CHUNK, n_samples - done)
-        z = _chunk_overshoots(lam, t, seed, chunk_index, count)
+
+    def add_chunk(z: np.ndarray) -> None:
         vals = _apply_observable(g, z)
         sums_re.append(float(np.sum(vals.real)))
         sums_im.append(float(np.sum(vals.imag)))
         sums_sq.append(float(np.sum(vals.real ** 2 + vals.imag ** 2)))
-        done += count
-        chunk_index += 1
+
+    _run_chunks(lam, t, seed, n_samples, threads or _available_cpus(), add_chunk)
     mean = complex(math.fsum(sums_re) / n_samples, math.fsum(sums_im) / n_samples)
     variance = max(0.0, math.fsum(sums_sq) / n_samples - abs(mean) ** 2)
     stderr = math.sqrt(variance / n_samples)

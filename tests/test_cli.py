@@ -115,6 +115,15 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_single_map_walk_stops_at_cap(capsys):
+    # 3e7 steps to reach exp(-3): exit 3 at once instead of walking them.
+    start = time.perf_counter()
+    code, _, err = run(["fourier-scan", "--spec", '{"maps":[["0.9999999","0"]]}',
+                        "--t", "3", "--xi-max", "4", "--cap", "1000000"], capsys)
+    assert code == 3 and "needs up to 30000000 steps" in err
+    assert time.perf_counter() - start < 0.5
+
+
 def test_dioph_scan_stops_at_cap(capsys):
     # The candidate rows are counted against --cap before any is built.
     code, _, err = run(["dioph-scan", "--spec", LUROTH_SPEC, "--b-max", "1e5",
@@ -211,6 +220,14 @@ def test_renewal_command_reproducible(tmp_path, capsys):
     b = json.loads((tmp_path / "r2.json").read_text())
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+    # Three chunks, the last one short: the bytes do not depend on how
+    # many of them are sampled at once.
+    base[base.index("2000")] = "140000"
+    outs = []
+    for threads in (["--threads", "1"], ["--threads", "2"], ["--threads", "3"], []):
+        outs.append(tmp_path / f"t{len(outs)}.csv")
+        assert run(base + threads + ["--out", str(outs[-1])], capsys)[0] == 0
+    assert len({path.read_bytes() for path in outs}) == 1
 
 
 def test_dioph_scan_command(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from selfsim import (
     stopping_words,
     validate_disjointness,
 )
+from selfsim.ifs import DEFAULT_WORD_CAP
 from selfsim.luroth import luroth_natural_ifs
 
 
@@ -221,10 +223,15 @@ def test_stopping_family_cap_is_exact(luroth23, t):
 
 
 def test_single_map_family_is_one_word_at_any_depth():
+    # The cap bounds the walk, ceil(10 / log 2) + 1 = 16 steps, not the one word.
     ifs = WeightedIFS((0,), (Similitude(0.5, 0.25),), (1.0,))
-    fam = stopping_words(ifs, 10.0, cap=1)
+    fam = stopping_words(ifs, 10.0, cap=16)
     assert len(fam) == 1 and len(fam.words[0]) == 15
-    assert mu_hat_cylinder(ifs, 3.0, 10.0, cap=1).cost == 1
+    assert mu_hat_cylinder(ifs, 3.0, 10.0, cap=16).cost == 1
+    for call in (lambda: stopping_words(ifs, 10.0, cap=15),
+                 lambda: mu_hat_cylinder(ifs, 3.0, 10.0, cap=15)):
+        with pytest.raises(ResourceCapError, match="needs up to 16 steps, cap=15"):
+            call()
     with pytest.raises(InputError):
         stopping_words(ifs, 10.0, cap=0)
 
@@ -235,7 +242,7 @@ def test_single_map_family_is_one_word_at_any_depth():
 ])
 def test_single_map_word_follows_the_walk(r, b, p, t):
     ifs = WeightedIFS(("a",), (Similitude(r, b),), (p,))
-    (word,) = stopping_words(ifs, t, cap=1).words
+    (word,) = stopping_words(ifs, t).words
     (want,) = bfs_stopping_words([r], math.exp(-t))
     assert word.symbols == ("a",) * len(want)
     # compose_word takes the running products of r and of p, as the walk does.
@@ -253,6 +260,18 @@ def test_single_map_long_word_without_a_level_walk():
     assert len(word) == math.ceil(3.0 / -math.log(0.99999))
     assert math.exp(-3.0) * 0.99999 < word.ratio_product <= math.exp(-3.0)
     assert word.intercept == 0.0 and word.weight_product == 1.0
+
+
+def test_single_map_walk_is_capped_before_its_first_step():
+    # A ratio this close to 1 needs 3e7 steps to reach exp(-3); the bound
+    # is checked before any of them, and the default cap still allows it.
+    ifs = WeightedIFS((0,), (Similitude(0.9999999, 0.0),), (1.0,))
+    steps = math.ceil(3.0 / -math.log(0.9999999)) + 1
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=f"needs up to {steps} steps, cap=1000000"):
+        stopping_words(ifs, 3.0, cap=1_000_000)
+    assert time.perf_counter() - start < 0.5
+    assert steps <= DEFAULT_WORD_CAP
 
 
 def test_stopping_family_cap_checked_before_words_are_built(luroth23):

@@ -262,5 +262,17 @@ def test_diagonal_sweep_memory_is_blocked(luroth23):
     assert peak < 32 * 2 ** 20
 
 
+def test_diagonal_sweep_peak_at_depth_16(luroth23):
+    # The level arrays and one block of at most 65 536 pairs peak at about
+    # 8 MB; blocks of 2^18 pairs peaked at about 17 MB.
+    tracemalloc.start()
+    try:
+        diagonal_mass(luroth23, 1e-6, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
 def _level_words(ifs, depth):
     return [compose_word(ifs, syms) for syms in product(ifs.symbols, repeat=depth)]

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -25,7 +27,8 @@ from selfsim import (
 )
 from selfsim.cli import parse_spec
 from selfsim.luroth import luroth_natural_ifs
-from selfsim.renewal import _CHUNK, _GL_NODES, _GL_WEIGHTS, _PANEL, _chunk_overshoots
+import selfsim.renewal
+from selfsim.renewal import _CHUNK, _GL_NODES, _GL_WEIGHTS, _PANEL, _chunk_overshoots, _Slot
 
 # Limit value of E exp(0.3i * overshoot) for the Luroth {2,3} walk, frozen
 # from the quadrature path and cross-checked by interval subdivision.
@@ -281,3 +284,92 @@ def test_walk_length_is_capped_before_drawing(luroth_lambda):
     assert sample_overshoot(luroth_lambda, 30.0, seed=1, cap=steps) >= 0.0
     with pytest.raises(ResourceCapError, match=f"cap={steps - 1}"):
         sample_overshoot(luroth_lambda, 30.0, seed=1, cap=steps - 1)
+
+
+# Three full chunks and a short last one.
+THREAD_SAMPLES = 3 * _CHUNK + 1234
+
+
+@pytest.mark.parametrize("name", ["luroth23", "ninety"])
+def test_renewal_mc_is_the_same_for_every_thread_count(name):
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
+    g = phase_test_function(0.3)
+    # Frequent thread switches, and more workers than this machine may have
+    # cores, would show any state the chunks in flight share.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [renewal_expectation_mc(lam, g, 20.0, THREAD_SAMPLES, seed=6, threads=n)
+                   for n in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+    assert renewal_expectation_mc(lam, g, 20.0, THREAD_SAMPLES, seed=6) == results[0]
+
+
+class RecordingObservable:
+    """The phase observable, noting the thread and the overshoots of each call."""
+
+    def __init__(self):
+        self.inner = phase_test_function(0.3)
+        self.threads = set()
+        self.chunks = []
+
+    def __call__(self, z):
+        self.threads.add(threading.get_ident())
+        return self.inner(z)
+
+    def apply_array(self, z):
+        self.threads.add(threading.get_ident())
+        self.chunks.append(np.array(z))
+        return self.inner.apply_array(z)
+
+
+def test_observable_runs_on_the_calling_thread_in_chunk_order(luroth_lambda):
+    g = RecordingObservable()
+    renewal_expectation_mc(luroth_lambda, g, 20.0, THREAD_SAMPLES, seed=4, threads=3)
+    assert g.threads == {threading.get_ident()}
+    counts = [_CHUNK, _CHUNK, _CHUNK, 1234]
+    assert [len(z) for z in g.chunks] == counts
+    # Slots are reused across chunks: each chunk still equals a fresh one.
+    for index, (z, count) in enumerate(zip(g.chunks, counts)):
+        assert np.array_equal(z, _chunk_overshoots(luroth_lambda, 20.0, 4, index, count))
+
+
+def test_worker_exception_reaches_the_caller(luroth_lambda, monkeypatch):
+    raised_on = []
+    chunk_overshoots = selfsim.renewal._chunk_overshoots
+
+    def failing(lam, t, seed, chunk_index, *args):
+        if chunk_index == 2:
+            raised_on.append(threading.get_ident())
+            raise RuntimeError("chunk 2 failed")
+        return chunk_overshoots(lam, t, seed, chunk_index, *args)
+
+    monkeypatch.setattr(selfsim.renewal, "_chunk_overshoots", failing)
+    with pytest.raises(RuntimeError, match="chunk 2 failed"):
+        renewal_expectation_mc(luroth_lambda, phase_test_function(0.3), 20.0,
+                               THREAD_SAMPLES, seed=4, threads=2)
+    assert raised_on and raised_on[0] != threading.get_ident()
+
+
+def test_thread_count_is_validated(luroth_lambda):
+    with pytest.raises(InputError, match="thread count"):
+        renewal_expectation_mc(luroth_lambda, phase_test_function(0.3), 10.0, 500,
+                               seed=1, threads=0)
+
+
+@pytest.mark.parametrize("t", [3.0, 30.0, 100.0])
+def test_slot_kernel_allocates_little_whatever_t(t):
+    # With its work arrays in a slot, a chunk allocates only the index
+    # lists of each panel, however many panels its walkers need.
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["ninety"]).ifs)
+    slot, out = _Slot(_CHUNK), np.empty(_CHUNK)
+    tracemalloc.start()
+    try:
+        _chunk_overshoots(lam, t, 5, 0, _CHUNK, slot, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, _chunk_overshoots(lam, t, 5, 0, _CHUNK))
+    assert peak < 2 ** 20
