@@ -499,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
                        help="enumeration cap (default %(default)s)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads, at least 1 (default: the available "
-                            "CPUs); renewal samples that many chunks at once, and "
-                            "no command's output depends on it")
+                       help="worker threads, at least 1; renewal samples that many "
+                            "chunks at once, at most the available CPUs (the "
+                            "default), and no command's output depends on it")
         p.add_argument("--seed", type=int, default=0,
                        help="random seed (default %(default)s)")
         for names, kwargs in command.flags:

@@ -233,8 +233,10 @@ def _single_map_word(ifs: WeightedIFS, t: float, cap: int) -> tuple[int, float, 
     """
     _check_stopping_args(t, cap)
     (m,), (p,) = ifs.maps, ifs.weights
-    steps = math.ceil(t / -math.log(m.ratio)) + 1
-    if steps > cap:
+    # Compared before rounding: the bound can overflow to inf.
+    bound = t / -math.log(m.ratio)
+    if bound > cap - 1:
+        steps = math.ceil(bound) + 1 if math.isfinite(bound) else bound
         raise ResourceCapError(
             f"single-map stopping word for t={t!r} needs up to {steps} steps, cap={cap}")
     threshold = math.exp(-t)

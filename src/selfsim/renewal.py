@@ -219,26 +219,23 @@ def _run_chunks(
     t: float,
     seed: int,
     n_samples: int,
-    threads: int,
+    threads: int | None,
     consume: Callable[[np.ndarray], None],
 ) -> None:
     """Pass the overshoots of each chunk to ``consume``, in chunk order.
 
-    Up to ``threads`` chunks are sampled at once, each on a thread pool
-    worker with its own slot of work arrays; ``consume`` runs on the
-    calling thread, and chunk i + threads is started only once chunk i
-    has been consumed and its slot is free.  With one chunk or one
-    thread everything runs inline.  Each chunk's stream depends on
-    (seed, chunk index) alone, so the overshoots do not depend on
-    ``threads``.
+    Up to ``threads`` chunks, and no more than the available CPUs, are
+    sampled at once, each on a thread pool worker with its own slot of
+    work arrays; ``consume`` runs on the calling thread, and chunk
+    i + workers is started only once chunk i has been consumed and its
+    slot is free.  Each chunk's stream depends on (seed, chunk index)
+    alone, so the overshoots do not depend on the worker count.
     """
     counts = [min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
-    workers = min(threads, len(counts))
+    workers = min(len(counts), _available_cpus())
+    if threads is not None:
+        workers = min(workers, threads)
     slots = [_Slot(counts[0]) for _ in range(workers)]
-    if workers == 1:
-        for index, count in enumerate(counts):
-            consume(_chunk_overshoots(lam, t, seed, index, count, slots[0]))
-        return
     # Imported here so that loading the CLI does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
@@ -402,8 +399,9 @@ def renewal_expectation_mc(
     before any draw, so the work per chunk stays bounded and the chunk
     count grows linearly with ``n_samples``.
 
-    Up to ``threads`` chunks (default: the CPUs this process may use) are
-    sampled at once on a thread pool; ``g`` is applied on the calling
+    Up to ``threads`` chunks, and never more than the CPUs this process
+    may use (the default), are sampled at once on a thread pool, each
+    with about 6 MB of work arrays; ``g`` is applied on the calling
     thread in chunk order, so the result is the same for every thread
     count and ``g`` need not be thread-safe.
     """
@@ -427,7 +425,7 @@ def renewal_expectation_mc(
         sums_im.append(float(np.sum(vals.imag)))
         sums_sq.append(float(np.sum(vals.real ** 2 + vals.imag ** 2)))
 
-    _run_chunks(lam, t, seed, n_samples, threads or _available_cpus(), add_chunk)
+    _run_chunks(lam, t, seed, n_samples, threads, add_chunk)
     mean = complex(math.fsum(sums_re) / n_samples, math.fsum(sums_im) / n_samples)
     variance = max(0.0, math.fsum(sums_sq) / n_samples - abs(mean) ** 2)
     stderr = math.sqrt(variance / n_samples)

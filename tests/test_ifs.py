@@ -274,6 +274,15 @@ def test_single_map_walk_is_capped_before_its_first_step():
     assert steps <= DEFAULT_WORD_CAP
 
 
+@pytest.mark.parametrize("t, steps", [(1e200, r"\d{216}"), (1e300, "inf")])
+def test_single_map_step_bound_beyond_any_cap(t, steps):
+    # With a ratio of 1 - 2^-53, t / -log r is about 9e215 at t = 1e200
+    # and overflows to inf at t = 1e300; both are refused, not rounded.
+    ifs = WeightedIFS((0,), (Similitude(1 - 2 ** -53, 0.0),), (1.0,))
+    with pytest.raises(ResourceCapError, match=f"needs up to {steps} steps, cap="):
+        stopping_words(ifs, t)
+
+
 def test_stopping_family_cap_checked_before_words_are_built(luroth23):
     # 252 527 words at t=20; the state walk that sizes the family holds a
     # few hundred entries, and no Word is built before the error.

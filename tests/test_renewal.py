@@ -291,11 +291,12 @@ THREAD_SAMPLES = 3 * _CHUNK + 1234
 
 
 @pytest.mark.parametrize("name", ["luroth23", "ninety"])
-def test_renewal_mc_is_the_same_for_every_thread_count(name):
+def test_renewal_mc_is_the_same_for_every_thread_count(name, monkeypatch):
     lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
     g = phase_test_function(0.3)
-    # Frequent thread switches, and more workers than this machine may have
-    # cores, would show any state the chunks in flight share.
+    # Frequent thread switches would show any state the chunks in flight
+    # share; the available CPUs are raised so that three workers run.
+    monkeypatch.setattr(selfsim.renewal, "_available_cpus", lambda: 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -351,6 +352,27 @@ def test_worker_exception_reaches_the_caller(luroth_lambda, monkeypatch):
         renewal_expectation_mc(luroth_lambda, phase_test_function(0.3), 20.0,
                                THREAD_SAMPLES, seed=4, threads=2)
     assert raised_on and raised_on[0] != threading.get_ident()
+
+
+@pytest.mark.parametrize("cpus, threads, workers", [(2, 8, 2), (8, None, 4), (8, 1, 1)])
+def test_workers_are_capped_by_the_available_cpus(luroth_lambda, monkeypatch,
+                                                  cpus, threads, workers):
+    # Each worker holds a slot of work arrays, so more workers than CPUs
+    # would only add memory.
+    seen = set()
+    chunk_overshoots = selfsim.renewal._chunk_overshoots
+
+    def recording(lam, t, seed, chunk_index, count, slot, out):
+        seen.add((threading.get_ident(), id(slot)))
+        return chunk_overshoots(lam, t, seed, chunk_index, count, slot, out)
+
+    monkeypatch.setattr(selfsim.renewal, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(selfsim.renewal, "_chunk_overshoots", recording)
+    renewal_expectation_mc(luroth_lambda, phase_test_function(0.3), 20.0,
+                           THREAD_SAMPLES, seed=4, threads=threads)
+    assert len({ident for ident, _ in seen}) <= workers
+    assert len({slot for _, slot in seen}) == workers
+    assert threading.get_ident() not in {ident for ident, _ in seen}
 
 
 def test_thread_count_is_validated(luroth_lambda):
