@@ -11,6 +11,12 @@ the run metadata and, per table, its header, row count and the sha256 of
 the CSV bytes.  Exit status: 0 success, 2 input error, 3 resource cap,
 4 internal invariant violation.
 
+An invocation builds the argument parser of the command it names and no
+other; only a bare ``selfsim``, ``selfsim -h`` or an unknown command
+builds the tree of all commands.  Table cells are joined with commas
+directly: no cell text holds a comma, a quote or a line break, so no cell
+needs csv quoting, and every block of rows is checked for that.
+
 Library functions are called through this module's globals, looked up
 at call time, so a tracer can replace them here.
 """
@@ -18,9 +24,7 @@ at call time, so a tracer can replace them here.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -41,7 +45,7 @@ from .diophantine import (
     matveev_log_constant,
     weakly_diophantine_scan,
 )
-from .errors import InputError, SelfsimError
+from .errors import InputError, InternalInvariantError, SelfsimError
 from .fourier import decay_fit, dyadic_scan
 from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS
 from .luroth import (
@@ -137,6 +141,15 @@ def parse_spec(text: str) -> JobSpec:
 
 
 def _fmt(value) -> str:
+    # The exact types of nearly every cell first; subclasses such as
+    # np.float64, bool and np.bool_ take the isinstance chain.
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is int or kind is str:
+        return str(value)
+    if kind is Fraction:
+        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -150,17 +163,31 @@ def _fmt(value) -> str:
 _BLOCK_ROWS = 8192
 
 
+def _unquoted(text: str, rows: int, columns: int) -> str:
+    """``text``, once it is known to hold no cell that csv.writer would quote.
+
+    csv.writer quotes a cell holding a comma, a quote or a line break.  A
+    block of ``rows`` lines of ``columns`` cells joined by commas holds
+    none when it has exactly rows * (columns - 1) commas, rows CRs and
+    LFs and no quote; then it equals csv.writer's bytes.
+    """
+    if (text.count(",") != rows * (columns - 1) or text.count("\r") != rows
+            or text.count("\n") != rows or '"' in text):
+        raise InternalInvariantError(
+            f"a CSV cell would need quoting in {text[:200]!r}")
+    return text
+
+
 def _csv_blocks(header: list[str], rows):
     """The CSV text of one table, header first, then blocks of rows.
 
-    A float array renders each row with one "%.17g,...,%.17g\r\n" format,
-    which gives the bytes of csv.writer over _fmt's format(v, ".17g");
-    other tables are rows of tuples and go through csv.writer and _fmt.
+    A float array renders each row with one "%.17g,...,%.17g\r\n" format;
+    other tables are rows of tuples whose cells _fmt renders and commas
+    join.  Both give the bytes of csv.writer over _fmt's text, since no
+    cell needs quoting (checked per block by _unquoted).
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    yield buf.getvalue()
+    columns = len(header)
+    yield _unquoted(",".join(header) + "\r\n", 1, columns)
     array = isinstance(rows, np.ndarray)
     if array:
         line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
@@ -169,10 +196,8 @@ def _csv_blocks(header: list[str], rows):
         if array:
             yield (line * len(block)) % tuple(block.ravel().tolist())
         else:
-            buf.seek(0)
-            buf.truncate()
-            writer.writerows([_fmt(v) for v in row] for row in block)
-            yield buf.getvalue()
+            text = "".join([",".join(map(_fmt, row)) + "\r\n" for row in block])
+            yield _unquoted(text, len(block), columns)
 
 
 def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: dict,
@@ -485,27 +510,43 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_flags(parser: argparse.ArgumentParser, command: Command) -> None:
+    """The flags every command shares, then the command's own."""
+    if command.spec is not None:
+        parser.add_argument("--spec", help="path to a JSON job spec, or an inline JSON object")
+    parser.add_argument("--out", help="output CSV path; a JSON sidecar is written next to it")
+    parser.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
+                        help="enumeration cap (default %(default)s)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads, at least 1; renewal samples that many "
+                             "chunks at once, at most the available CPUs (the "
+                             "default), and no command's output depends on it")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="random seed (default %(default)s)")
+    for names, kwargs in command.flags:
+        parser.add_argument(*names, **kwargs)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with ``command=None`` the tree of all.
+
+    A command's parser holds its flags alone, as the tree's subparser for
+    it does, and gives the same help, namespace and exit codes; it saves
+    building the other commands' flags on every invocation.  The tree
+    serves a bare ``selfsim``, ``selfsim -h`` and unknown commands.
+    """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"selfsim {command}")
+        parser.set_defaults(command=command)
+        _add_flags(parser, COMMANDS[command])
+        return parser
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Self-similar measures: dimensions, Fourier decay, "
                     "diophantine scans, Luroth systems, renewal checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        if command.spec is not None:
-            p.add_argument("--spec", help="path to a JSON job spec, or an inline JSON object")
-        p.add_argument("--out", help="output CSV path; a JSON sidecar is written next to it")
-        p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
-                       help="enumeration cap (default %(default)s)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads, at least 1; renewal samples that many "
-                            "chunks at once, at most the available CPUs (the "
-                            "default), and no command's output depends on it")
-        p.add_argument("--seed", type=int, default=0,
-                       help="random seed (default %(default)s)")
-        for names, kwargs in command.flags:
-            p.add_argument(*names, **kwargs)
+    for name, entry in COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=entry.help), entry)
     return parser
 
 
@@ -528,7 +569,11 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser, argv = build_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
         return _run(parser.parse_args(argv))
     except SelfsimError as exc:

@@ -220,16 +220,22 @@ def _check_stopping_args(t: float, cap: int) -> None:
         raise InputError(f"word cap must be at least 1, got {cap!r}")
 
 
+# Steps per block of the single-map walk.
+_WALK_BLOCK = 1 << 16
+
+
 def _single_map_word(ifs: WeightedIFS, t: float, cap: int) -> tuple[int, float, float, float]:
     """The one word of a single-map system's stopping family at scale exp(-t).
 
     Returns its length, ratio product, cylinder start and mass.  The
-    length is found by the stopping rule of _stopping_states, one scalar
-    step per symbol: the running ratio product stays internal while
-    ratio * r > exp(-t).  Cylinder start and mass accumulate as _refine
-    builds them, so the word equals the one the level walk gives.  The
-    walk takes at most ceil(t / -log r) + 1 steps; ResourceCapError is
-    raised, before the first step, iff that bound exceeds ``cap``.
+    length is found by the stopping rule of _stopping_states: the running
+    ratio product stays internal while ratio * r > exp(-t).  Cylinder
+    start and mass accumulate as _refine builds them, so the word equals
+    the one the level walk gives.  The steps are taken in blocks of up to
+    _WALK_BLOCK: np.multiply.accumulate and np.add.accumulate round the
+    running products and sums one step at a time, as a scalar loop does.
+    The walk takes at most ceil(t / -log r) + 1 steps; ResourceCapError
+    is raised, before the first step, iff that bound exceeds ``cap``.
     """
     _check_stopping_args(t, cap)
     (m,), (p,) = ifs.maps, ifs.weights
@@ -240,15 +246,26 @@ def _single_map_word(ifs: WeightedIFS, t: float, cap: int) -> tuple[int, float, 
         raise ResourceCapError(
             f"single-map stopping word for t={t!r} needs up to {steps} steps, cap={cap}")
     threshold = math.exp(-t)
+    size = min(_WALK_BLOCK, math.ceil(bound) + 1)
     n, ratio, lo, mass = 0, 1.0, 0.0, 1.0
     while True:
-        n += 1
-        lo = lo + ratio * m.translation
-        mass = mass * p
-        child = ratio * m.ratio
-        if child <= threshold:
-            return n, child, lo, mass
-        ratio = child
+        # Entry i of each array is the state after i more steps.
+        ratios = np.full(size + 1, m.ratio)
+        ratios[0] = ratio
+        np.multiply.accumulate(ratios, out=ratios)
+        stops = np.flatnonzero(ratios[1:] <= threshold)
+        k = int(stops[0]) + 1 if stops.size else size
+        masses = np.full(k + 1, p)
+        masses[0] = mass
+        starts = np.empty(k + 1)
+        starts[0] = lo
+        np.multiply(ratios[:k], m.translation, out=starts[1:])
+        n += k
+        ratio = float(ratios[k])
+        lo = float(np.add.accumulate(starts)[k])
+        mass = float(np.multiply.accumulate(masses)[k])
+        if stops.size:
+            return n, ratio, lo, mass
 
 
 def _stopping_states(
@@ -279,9 +296,11 @@ def _stopping_states(
     _check_stopping_args(t, cap)
     threshold = math.exp(-t)
     ratios = [m.ratio for m in ifs.maps]
-    # Internal states have fewer than t / -log(max_ratio) symbols.
-    depth = int(t / -math.log(ifs.max_ratio)) + 1
-    exact = math.comb(depth + ifs.size, ifs.size) <= cap
+    # Internal states have fewer than t / -log(max_ratio) symbols.  That
+    # bound can overflow to inf, so it is compared with the cap before it
+    # is rounded: from a depth of cap on, C(depth + K, K) exceeds the cap.
+    depth = t / -math.log(ifs.max_ratio)
+    exact = depth < cap and math.comb(int(depth) + 1 + ifs.size, ifs.size) <= cap
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     # Symbol counts -> [index in level, ratio product, tree nodes].
     frontier: dict[tuple[int, ...], list] = {(0,) * ifs.size: [0, 1.0, 1]}

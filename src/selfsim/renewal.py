@@ -95,7 +95,9 @@ def _check_walk(lam: AuxiliaryMeasure, t: float, walkers: int, cap: int) -> None
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise InputError(f"crossing level must be positive and finite, got {t!r}")
-    steps = math.ceil(t / min(lam.locations)) + 2
+    bound = t / min(lam.locations)
+    # Rounded only when finite: the bound overflows to inf for a huge t.
+    steps = math.ceil(bound) + 2 if math.isfinite(bound) else bound
     draws = steps * min(walkers, _CHUNK)
     if draws > cap:
         raise ResourceCapError(

@@ -6,11 +6,12 @@ the library's depth-first stack, an infinite-product formula for the
 Cantor transform, a binomial lattice recursion for overshoot laws, sine
 and cosine integrals for the stationary overshoot limit, and exact
 Fraction arithmetic for series values.  The overshoot sampler's panel
-stream is restated as a loop over walkers and their steps.  Four oracles
+stream is restated as a loop over walkers and their steps.  Five oracles
 are earlier versions of library code kept as references: the row-by-row
 diagonal sweep, the regularity scan over every symbol multiset, the
-Fraction refinement of Luroth cylinder intervals, and the CSV rendering
-of a table row by row through csv.writer.
+Fraction refinement of Luroth cylinder intervals, the CSV rendering of a
+table row by row through csv.writer, and the single-map stopping walk
+one scalar step at a time.
 """
 
 from __future__ import annotations
@@ -260,3 +261,22 @@ def csv_bytes(header, rows) -> bytes:
     for row in rows:
         writer.writerow([fmt(v) for v in row])
     return buf.getvalue().encode("utf-8")
+
+
+def single_map_walk(r: float, b: float, p: float, t: float) -> tuple[int, float, float, float]:
+    """The stopping word of the single map x -> r*x + b with weight p, one step at a time.
+
+    The running ratio product stays internal while ratio * r > exp(-t);
+    each step adds ratio * b to the cylinder start and multiplies the mass
+    by p.  Returns the word's length, ratio product, start and mass.
+    """
+    threshold = math.exp(-t)
+    n, ratio, lo, mass = 0, 1.0, 0.0, 1.0
+    while True:
+        n += 1
+        lo = lo + ratio * b
+        mass = mass * p
+        child = ratio * r
+        if child <= threshold:
+            return n, child, lo, mass
+        ratio = child

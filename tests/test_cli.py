@@ -14,8 +14,8 @@ import pytest
 
 import selfsim.cli
 from oracles import csv_bytes
-from selfsim import InputError, auxiliary_measure, matveev_degree, weakly_diophantine_scan
-from selfsim.cli import main, parse_spec
+from selfsim import InputError, InternalInvariantError, auxiliary_measure, matveev_degree, weakly_diophantine_scan
+from selfsim.cli import COMMANDS, build_parser, main, parse_spec
 
 LUROTH_SPEC = '{"luroth": [2, 3]}'
 CANTOR_SPEC = '{"maps": [["1/3", "0"], ["1/3", "2/3"]]}'
@@ -252,9 +252,80 @@ def test_csv_blocks_render_like_the_row_writer():
               [1 / 3, 1e22, 123456789.0]]
     text = "".join(selfsim.cli._csv_blocks(header, np.array(values)))
     assert text.encode("utf-8") == csv_bytes(header, values)
-    mixed = [(True, Fraction(2, 3), 7, "cylinder", 0.5), (False, Fraction(-1, 4), 0, "x", math.nan)]
-    text = "".join(selfsim.cli._csv_blocks(list("vwxyz"), mixed))
-    assert text.encode("utf-8") == csv_bytes(list("vwxyz"), mixed)
+    mixed = [(True, Fraction(2, 3), 7, "cylinder", 0.5, np.float64(0.1), np.int64(-3),
+              np.bool_(True), -0.0, math.inf),
+             (False, Fraction(-1, 4), 0, "x", math.nan, np.float64(-math.inf), np.int64(2 ** 40),
+              np.bool_(False), 1e-310, -1 / 3)]
+    header = [f"c{i}" for i in range(10)]
+    text = "".join(selfsim.cli._csv_blocks(header, mixed))
+    assert text.encode("utf-8") == csv_bytes(header, mixed)
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+def test_csv_cell_that_needs_quoting_is_refused(cell):
+    # csv.writer would quote these cells; joined plainly they would give
+    # other bytes, so the block is refused instead.
+    with pytest.raises(InternalInvariantError, match="quoting"):
+        "".join(selfsim.cli._csv_blocks(["a", "b"], [(1, 2.0), (cell, 3)]))
+
+
+def test_command_parser_help_matches_the_full_tree(capsys):
+    tree = build_parser()
+    for name in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            tree.parse_args([name, "-h"])
+        assert exc.value.code == 0
+        want = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([name, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == want and want.startswith(f"usage: selfsim {name} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--spec", LUROTH_SPEC],
+    ["weights", "--spec", CANTOR_SPEC, "--out", "w.csv"],
+    ["fourier-scan", "--spec", LUROTH_SPEC, "--t", "8", "--xi-max", "64", "--threads", "2"],
+    ["decay-fit", "--spec", LUROTH_SPEC, "--points-per-octave", "4", "--cap", "1000"],
+    ["regularity", "--spec", LUROTH_SPEC, "--depth", "5"],
+    ["diagonal", "--spec", CANTOR_SPEC, "--delta", "0.1"],
+    ["dioph-scan", "--spec", CANTOR_SPEC, "--l", "2", "--b-max", "50", "--grid", "64"],
+    ["matveev", "--a1", "2", "--a2", "3"],
+    ["luroth-encode", "--x", "2/3"],
+    ["luroth-decode", "--digits", "2,3,2"],
+    ["luroth-figure", "--spec", LUROTH_SPEC, "--level", "4"],
+    ["beta", "--spec", LUROTH_SPEC, "--seed", "3"],
+    ["renewal", "--spec", LUROTH_SPEC, "--t", "10", "--samples", "2000", "--s", "0.2"],
+], ids=lambda argv: argv[0])
+def test_command_parser_namespace_matches_the_full_tree(argv):
+    assert build_parser(argv[0]).parse_args(argv[1:]) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv,code", [
+    ([], 2), (["-h"], 0), (["nosuch"], 2), (["dim", "--nosuch"], 2),
+])
+def test_top_level_and_unknown_flag_exits(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    if argv == ["nosuch"]:
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch'" in err
+        assert all(f"'{name}'" in err for name in COMMANDS) and len(COMMANDS) == 13
+
+
+@pytest.mark.parametrize("argv", [
+    ["renewal", "--spec", NINETY_SPEC, "--t", "1e308", "--samples", "100"],
+    ["fourier-scan", "--spec", '{"maps":[["0.9999999999999999","0"],["1/1000000000","1/2"]],'
+                               '"weights":["1/2","1/2"]}', "--t", "1e300", "--xi-max", "4"],
+], ids=["renewal", "fourier-scan"])
+def test_overflowing_step_bounds_stop_at_the_cap(argv, capsys):
+    # t / (smallest step) and t / -log(largest ratio) overflow to inf; the
+    # bound is compared with the cap before it is rounded.
+    started = time.monotonic()
+    code, _, err = run(argv, capsys)
+    assert code == 3 and "cap=" in err
+    assert time.monotonic() - started < 5.0
 
 
 @pytest.mark.parametrize("spec,power,b_max", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_disjoint_ifs
-from oracles import bfs_stopping_words
+from oracles import bfs_stopping_words, single_map_walk
 from selfsim import (
     InputError,
     ResourceCapError,
@@ -20,7 +20,8 @@ from selfsim import (
     stopping_words,
     validate_disjointness,
 )
-from selfsim.ifs import DEFAULT_WORD_CAP
+import selfsim.ifs
+from selfsim.ifs import DEFAULT_WORD_CAP, _single_map_word
 from selfsim.luroth import luroth_natural_ifs
 
 
@@ -254,12 +255,26 @@ def test_single_map_word_follows_the_walk(r, b, p, t):
 
 
 def test_single_map_long_word_without_a_level_walk():
-    # About 3e5 symbols, found one scalar step each.
+    # About 3e5 symbols, found in blocks of steps.
     ifs = WeightedIFS((0,), (Similitude(0.99999, 0.0),), (1.0,))
     (word,) = stopping_words(ifs, 3.0).words
     assert len(word) == math.ceil(3.0 / -math.log(0.99999))
     assert math.exp(-3.0) * 0.99999 < word.ratio_product <= math.exp(-3.0)
     assert word.intercept == 0.0 and word.weight_product == 1.0
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 15, 16])
+@pytest.mark.parametrize("r,b,p,t", [
+    (0.5, 0.25, 1.0, 10.0), (0.99, 0.01, 1.0 - 4e-13, 3.0), (1 / 3, 2 / 3, 1.0, 20.0),
+    (0.5, 0.5, 1.0, 800.0), (0.999, 0.001, 1.0, 0.1),
+])
+def test_single_map_blocks_match_the_scalar_walk(monkeypatch, block, r, b, p, t):
+    # The 15-step walk at (0.5, t=10) stops at a block's end for blocks of
+    # 3 and 15 and inside a block for 2 and 16; the longer walks cross
+    # many blocks.
+    monkeypatch.setattr(selfsim.ifs, "_WALK_BLOCK", block)
+    ifs = WeightedIFS(("a",), (Similitude(r, b),), (p,))
+    assert _single_map_word(ifs, t, DEFAULT_WORD_CAP) == single_map_walk(r, b, p, t)
 
 
 def test_single_map_walk_is_capped_before_its_first_step():
