@@ -38,7 +38,6 @@ from .fourier import (
     decay_fit,
     dyadic_scan,
     mu_hat_cylinder,
-    mu_hat_monte_carlo,
     self_similarity_residual,
     solve_t_of_xi,
     theoretical_beta,
@@ -129,7 +128,6 @@ __all__ = [
     "matveev_log_constant",
     "moran_value",
     "mu_hat_cylinder",
-    "mu_hat_monte_carlo",
     "natural_weights",
     "perfect_power_free",
     "phase_test_function",

@@ -144,19 +144,26 @@ def _fmt(value) -> str:
     # The exact types of nearly every cell first; subclasses such as
     # np.float64, bool and np.bool_ take the isinstance chain.
     kind = type(value)
-    if kind is float:
-        return format(value, ".17g")
-    if kind is int or kind is str:
+    try:
+        if kind is float:
+            return format(value, ".17g")
+        if kind is int or kind is str:
+            return str(value)
+        if kind is Fraction:
+            return f"{value.numerator}/{value.denominator}"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
         return str(value)
-    if kind is Fraction:
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+    except ValueError as exc:
+        # Python 3.11 on refuses to print an integer of more digits than
+        # sys.get_int_max_str_digits(), such as a deep exact cylinder end.
+        raise InputError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for integer string conversion") from exc
 
 
 # Rows per encoded block of a CSV table.

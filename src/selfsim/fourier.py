@@ -1,11 +1,12 @@
 """Fourier transform of self-similar measures and decay-rate diagnostics.
 
 The transform at frequency xi is the integral of exp(-2*pi*i*xi*x) against
-the measure.  Two evaluators are provided: a certified sum over stopping
-cylinders with an explicit error bound, and a Monte Carlo average over
-random attractor points with a bias plus sampling bound.  On top of these
-sit a dyadic maximum envelope, a log-log decay fit, and the closed-form
-polylogarithmic decay exponent together with its frequency threshold.
+the measure.  One evaluator computes it: a sum over the stopping
+cylinders at scale exp(-t), folded over their symbol-count states, with
+the explicit error bound pi*|xi|*exp(-t).  On top of it sit a
+self-similarity residual, a dyadic maximum envelope, a log-log decay
+fit, and the closed-form polylogarithmic decay exponent together with
+its frequency threshold.
 """
 
 from __future__ import annotations
@@ -114,8 +115,10 @@ def mu_hat_cylinder(
 
     Every point of a cylinder sits within exp(-t) of the midpoint, and the
     phase exp(-2*pi*i*xi*x) has Lipschitz constant 2*pi*|xi|, so the
-    returned bound pi*|xi|*exp(-t) dominates the true error (using the
-    half-width exp(-t)/2 per cylinder).
+    returned bound pi*|xi|*exp(-t) dominates the error of the midpoint
+    rule (using the half-width exp(-t)/2 per cylinder).  It does not count
+    the float rounding of the phases, which exceeds it at depth: for the
+    Cantor measure at t=60 against an 80-digit reference.
     """
     values, words = _family_sums(ifs, t, np.array([float(xi)]), cap)
     return SpectralSample(
@@ -124,45 +127,6 @@ def mu_hat_cylinder(
         error_bound=math.pi * abs(xi) * math.exp(-t),
         method="cylinder",
         cost=words,
-    )
-
-
-def mu_hat_monte_carlo(
-    ifs: WeightedIFS,
-    xi: float,
-    samples: int,
-    depth: int,
-    seed: int,
-) -> SpectralSample:
-    """Estimate the transform by averaging over random depth-limited points.
-
-    Points are driven from the interval midpoint by ``depth`` random maps
-    drawn with the system's weights, so each lands within max_ratio^depth
-    of an exactly distributed point; the error bound adds that phase bias
-    to a 3/sqrt(samples) sampling term (about three standard deviations
-    for a quantity of modulus at most 1).  Deterministic given the seed.
-    """
-    if samples < 1:
-        raise InputError(f"need at least one sample, got {samples!r}")
-    if depth < 1:
-        raise InputError(f"depth must be at least 1, got {depth!r}")
-    rng = np.random.default_rng(seed)
-    ratios = np.array([m.ratio for m in ifs.maps])
-    trans = np.array([m.translation for m in ifs.maps])
-    probs = np.array(ifs.weights)
-    probs = probs / probs.sum()
-    x = np.full(samples, 0.5)
-    for _ in range(depth):
-        idx = rng.choice(ifs.size, size=samples, p=probs)
-        x = ratios[idx] * x + trans[idx]
-    value = complex(np.mean(np.exp((-1j * TWO_PI * xi) * x)))
-    bias = math.pi * abs(xi) * ifs.max_ratio ** depth
-    return SpectralSample(
-        xi=float(xi),
-        value=value,
-        error_bound=bias + 3.0 / math.sqrt(samples),
-        method="monte_carlo",
-        cost=samples * depth,
     )
 
 

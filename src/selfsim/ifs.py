@@ -23,8 +23,8 @@ from .errors import InputError, ResourceCapError
 # Interval overlaps up to this length are treated as endpoint touching.
 DISJOINT_TOL = 1e-12
 
-# Default ceiling on enumerated words; generous but keeps runaway
-# stopping times from exhausting memory.
+# Default ceiling on what one enumeration builds: words, cylinders, rows,
+# or the table entries of the stopping walk (8 B each, so 400 MB here).
 DEFAULT_WORD_CAP = 50_000_000
 
 
@@ -213,11 +213,24 @@ class StoppingFamily:
         return math.fsum(w.weight_product for w in self.words)
 
 
-def _check_stopping_args(t: float, cap: int) -> None:
+def _check_stopping_args(ifs: WeightedIFS, t: float, cap: int) -> float:
+    """Validate t and cap; return the step bound t / -log(max_ratio).
+
+    No internal node of the stopping tree has more than ceil(bound)
+    symbols, so a walk takes at most ceil(bound) + 1 steps.
+    ResourceCapError is raised iff that step bound exceeds ``cap``.  The
+    bound is compared before it is rounded, since it can overflow to inf.
+    """
     if not (t > 0.0 and math.isfinite(t)):
         raise InputError(f"stopping time must be positive and finite, got {t!r}")
     if cap < 1:
         raise InputError(f"word cap must be at least 1, got {cap!r}")
+    bound = t / -math.log(ifs.max_ratio)
+    if bound > cap - 1:
+        steps = math.ceil(bound) + 1 if math.isfinite(bound) else bound
+        raise ResourceCapError(
+            f"stopping walk for t={t!r} needs up to {steps} steps, cap={cap}")
+    return bound
 
 
 # Steps per block of the single-map walk.
@@ -234,17 +247,11 @@ def _single_map_word(ifs: WeightedIFS, t: float, cap: int) -> tuple[int, float, 
     the one the level walk gives.  The steps are taken in blocks of up to
     _WALK_BLOCK: np.multiply.accumulate and np.add.accumulate round the
     running products and sums one step at a time, as a scalar loop does.
-    The walk takes at most ceil(t / -log r) + 1 steps; ResourceCapError
-    is raised, before the first step, iff that bound exceeds ``cap``.
+    The cap bounds the steps, checked by _check_stopping_args before the
+    first one.
     """
-    _check_stopping_args(t, cap)
+    bound = _check_stopping_args(ifs, t, cap)
     (m,), (p,) = ifs.maps, ifs.weights
-    # Compared before rounding: the bound can overflow to inf.
-    bound = t / -math.log(m.ratio)
-    if bound > cap - 1:
-        steps = math.ceil(bound) + 1 if math.isfinite(bound) else bound
-        raise ResourceCapError(
-            f"single-map stopping word for t={t!r} needs up to {steps} steps, cap={cap}")
     threshold = math.exp(-t)
     size = min(_WALK_BLOCK, math.ceil(bound) + 1)
     n, ratio, lo, mass = 0, 1.0, 0.0, 1.0
@@ -283,32 +290,27 @@ def _stopping_states(
     value is the family size, counted exactly from the tree nodes on each
     state.
 
-    ResourceCapError is raised iff the family size exceeds ``cap``.  When
-    the walk can meet at most ``cap`` states (K maps have C(n + K, K)
-    symbol-count vectors of length at most n), it runs to the end and the
-    error names the exact size.  Otherwise it stops at the first level
-    where the words found plus the nodes of the next level, each of which
-    roots a word of its own, exceed ``cap``; with two or more maps the
-    states met stay below that bound.  A single map has a one-word family
-    at depth about t / -log(ratio); _single_map_word builds that word
-    without a state per level, and the cap bounds its steps instead.
+    The cap counts what the walk keeps: K + 1 table entries per state, its
+    ratio product and its K child indices.  ResourceCapError is raised iff
+    the states need more than ``cap`` entries, at the latest K states
+    after the count passes it, so the tables stay near 8 * cap bytes
+    however many words the family has.
     """
-    _check_stopping_args(t, cap)
+    _check_stopping_args(ifs, t, cap)
     threshold = math.exp(-t)
     ratios = [m.ratio for m in ifs.maps]
-    # Internal states have fewer than t / -log(max_ratio) symbols.  That
-    # bound can overflow to inf, so it is compared with the cap before it
-    # is rounded: from a depth of cap on, C(depth + K, K) exceeds the cap.
-    depth = t / -math.log(ifs.max_ratio)
-    exact = depth < cap and math.comb(int(depth) + 1 + ifs.size, ifs.size) <= cap
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     # Symbol counts -> [index in level, ratio product, tree nodes].
     frontier: dict[tuple[int, ...], list] = {(0,) * ifs.size: [0, 1.0, 1]}
+    entries = ifs.size + 1
     words = 0
     while frontier:
         below: dict[tuple[int, ...], list] = {}
         children = np.full((len(frontier), ifs.size), -1, dtype=np.intp)
         for i, (counts, (_, ratio, nodes)) in enumerate(frontier.items()):
+            if entries > cap:
+                raise ResourceCapError(
+                    f"stopping walk for t={t!r} needs more than cap={cap} table entries")
             for k, r_k in enumerate(ratios):
                 r = ratio * r_k
                 if r <= threshold:
@@ -318,17 +320,11 @@ def _stopping_states(
                 entry = below.get(key)
                 if entry is None:
                     entry = below[key] = [len(below), r, 0]
+                    entries += ifs.size + 1
                 entry[2] += nodes
                 children[i, k] = entry[0]
         levels.append((np.array([e[1] for e in frontier.values()]), children))
-        bound = words + sum(e[2] for e in below.values())
-        if bound > cap and not exact:
-            raise ResourceCapError(
-                f"stopping family for t={t!r} exceeds cap={cap} (at least {bound} words)")
         frontier = below
-    if words > cap:
-        raise ResourceCapError(
-            f"stopping family for t={t!r} has {words} words, more than cap={cap}")
     return levels, words
 
 
@@ -364,15 +360,19 @@ def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> S
     The affine data of each word composes the maps in refinement order
     (see Word), so the family's cylinders are nested below their prefixes
     and pairwise disjoint up to endpoints, which is what the measure
-    decomposition over the family requires.  ResourceCapError is raised
-    when the family has more than ``cap`` words, before any word is built;
-    for a single map, whose one word is found by a walk of up to
-    ceil(t / -log r) + 1 steps, when that step bound exceeds ``cap``.
+    decomposition over the family requires.  The cap bounds the state
+    walk as _stopping_states says, and then the words: ResourceCapError
+    is raised when the family has more than ``cap`` words, before any
+    word is built.  A single map's one word is found by a walk of up to
+    ceil(t / -log r) + 1 steps, and the cap bounds those steps.
     """
     if ifs.size == 1:
         n, ratio, lo, mass = _single_map_word(ifs, t, cap)
         return StoppingFamily(t, (Word(ifs.symbols * n, ratio, mass, lo),))
-    levels, _ = _stopping_states(ifs, t, cap)
+    levels, words = _stopping_states(ifs, t, cap)
+    if words > cap:
+        raise ResourceCapError(
+            f"stopping family for t={t!r} has {words} words, more than cap={cap}")
     out: list[Word] = []
     # The internal nodes of one level: state index, symbols, cylinder start, mass.
     state = np.zeros(1, dtype=np.intp)

@@ -132,9 +132,10 @@ def figure_intervals(
     ds = _digit_set(digits)
     if level < 1:
         raise InputError(f"level must be at least 1, got {level!r}")
-    total = len(ds) ** level
-    if total > cap:
-        raise ResourceCapError(f"level {level} needs {total} intervals, cap={cap}")
+    # K^level > cap once level reaches cap's bit length, so huge levels are
+    # refused before the power is formed.
+    if (len(ds) > 1 and level >= cap.bit_length()) or len(ds) ** level > cap:
+        raise ResourceCapError(f"level {level} needs {len(ds)}^{level} intervals, cap={cap}")
     cylinders = [(0, 1)]
     for _ in range(level):
         cylinders = [_refine_cylinder(a, w, d) for a, w in cylinders for d in reversed(ds)]

@@ -161,10 +161,12 @@ def diagonal_mass(
         raise InputError(f"strip half-width must be positive, got {delta!r}")
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth!r}")
-    count = ifs.size ** depth
-    if count > cap:
+    # K^depth > cap once depth reaches cap's bit length, so huge depths are
+    # refused before the power is formed.
+    if (ifs.size > 1 and depth >= cap.bit_length()) or ifs.size ** depth > cap:
         raise ResourceCapError(
-            f"diagonal walk needs {count} level-{depth} cylinders, cap={cap}")
+            f"diagonal walk needs {ifs.size}^{depth} level-{depth} cylinders, cap={cap}")
+    count = ifs.size ** depth
     lo, width, mass = np.zeros(1), np.ones(1), np.ones(1)
     for _ in range(depth):
         lo, width, mass = _refine(ifs, lo, width, mass)

@@ -131,15 +131,58 @@ def test_dioph_scan_stops_at_cap(capsys):
     assert code == 3 and "199783 candidate rows, cap=1000" in err
 
 
-def test_fourier_scan_stops_at_cap(capsys):
-    # The default cap of 5e7 words stands between this family and the
-    # machine's memory; the scan must give up quickly, before allocating.
+def test_fourier_scan_stops_at_cap(tmp_path, capsys):
+    # 37 179 states stand for 18 474 280 208 words: the walk fits the
+    # default cap, and a cap of 1e5 table entries refuses it at once.
+    spec = '{"maps":[["999/1000","0"],["1/2000","1999/2000"]]}'
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(["fourier-scan", "--spec", spec, "--t", "20", "--xi-max", "1e3",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    with open(out, newline="") as fh:
+        assert {row["cost"] for row in csv.DictReader(fh)} == {"18474280208"}
     started = time.monotonic()
-    code, _, err = run(["fourier-scan", "--spec",
-                        '{"maps":[["999/1000","0"],["1/2000","1999/2000"]]}',
-                        "--t", "20", "--xi-max", "1e3"], capsys)
-    assert code == 3 and "cap" in err
-    assert time.monotonic() - started < 5.0
+    code, _, err = run(["fourier-scan", "--spec", spec, "--t", "20", "--xi-max", "1e3",
+                        "--cap", "100000"], capsys)
+    assert code == 3 and "table entries" in err
+    assert time.monotonic() - started < 1.0
+
+
+def test_fourier_scan_at_t30_fits_the_default_cap(tmp_path, capsys):
+    # 393 states of 3 entries each; the 109 271 145 words are only counted.
+    out = tmp_path / "scan.csv"
+    args = ["fourier-scan", "--spec", LUROTH_SPEC, "--t", "30", "--xi-max", "1e6"]
+    assert run(args + ["--out", str(out)], capsys)[0] == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 160 and {row["cost"] for row in rows} == {"109271145"}
+    assert run(args + ["--cap", "1179"], capsys)[0] == 0
+    code, _, err = run(args + ["--cap", "1178"], capsys)
+    assert code == 3 and "needs more than cap=1178 table entries" in err
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["diagonal", "--spec", LUROTH_SPEC, "--delta", "1e-6", "--depth", "15000"],
+     3, "needs 2^15000 level-15000 cylinders"),
+    (["diagonal", "--spec", LUROTH_SPEC, "--delta", "1e-6", "--depth", "1000000000"],
+     3, "needs 2^1000000000 level-1000000000 cylinders"),
+    (["luroth-figure", "--spec", LUROTH_SPEC, "--level", "15000"],
+     3, "level 15000 needs 2^15000 intervals"),
+    (["luroth-figure", "--spec", '{"luroth":[2]}', "--level", "15000"],
+     2, "the limit for integer string conversion"),
+    (["luroth-decode", "--digits", ",".join(["3"] * 10000)],
+     2, "the limit for integer string conversion"),
+])
+def test_huge_exact_values_exit_cleanly(tmp_path, capsys, args, code, message):
+    # The counts are refused before K^depth is formed; an exact value too
+    # long for str() is bad input, not a crash.  On Python 3.10, which has
+    # no digit limit, the two long values print and exit 0.
+    if code == 2 and not hasattr(sys, "get_int_max_str_digits"):
+        code, message = 0, ""
+    started = time.monotonic()
+    got, _, err = run(args + ["--out", str(tmp_path / "t.csv")], capsys)
+    assert got == code and message in err
+    assert time.monotonic() - started < 1.0
 
 
 def test_spec_file_loading(tmp_path, capsys):

@@ -16,7 +16,6 @@ from selfsim import (
     decay_fit,
     dyadic_scan,
     mu_hat_cylinder,
-    mu_hat_monte_carlo,
     self_similarity_residual,
     solve_t_of_xi,
     stopping_words,
@@ -127,24 +126,6 @@ def test_mu_hat_modulus_bounded(luroth23):
         assert abs(sample.value) <= 1.0 + sample.error_bound
 
 
-def test_monte_carlo_agrees_with_cylinder(luroth23):
-    rng = np.random.default_rng(29)
-    for _ in range(8):
-        xi = float(rng.uniform(0.0, 50.0))
-        det = mu_hat_cylinder(luroth23, xi, 12.0)
-        mc = mu_hat_monte_carlo(luroth23, xi, samples=20000, depth=25, seed=91)
-        assert abs(det.value - mc.value) <= det.error_bound + mc.error_bound
-        assert mc.method == "monte_carlo"
-
-
-def test_monte_carlo_deterministic_given_seed(luroth23):
-    a = mu_hat_monte_carlo(luroth23, 17.5, samples=5000, depth=20, seed=5)
-    b = mu_hat_monte_carlo(luroth23, 17.5, samples=5000, depth=20, seed=5)
-    c = mu_hat_monte_carlo(luroth23, 17.5, samples=5000, depth=20, seed=6)
-    assert a.value == b.value
-    assert a.value != c.value
-
-
 def test_self_similarity_residual_small(luroth23):
     for xi in (3.7, 41.0, 250.0):
         residual = self_similarity_residual(luroth23, xi, 12.0)
@@ -209,10 +190,17 @@ def test_mu_hat_validation(luroth23):
     with pytest.raises(ResourceCapError) as err:
         mu_hat_cylinder(luroth23, 1.0, 12.0, cap=50)
     assert "cap" in str(err.value)
-    with pytest.raises(InputError):
-        mu_hat_monte_carlo(luroth23, 1.0, samples=0, depth=5, seed=1)
-    with pytest.raises(InputError):
-        mu_hat_monte_carlo(luroth23, 1.0, samples=10, depth=0, seed=1)
+
+
+def test_fold_cap_counts_table_entries(luroth23):
+    # Lüroth {2,3} at t=12 walks 70 states of 3 entries each; its 1989
+    # words are never built, so the cap is met by the 210 entries alone.
+    assert mu_hat_cylinder(luroth23, 5.0, 12.0, cap=210).cost == 1989
+    assert dyadic_scan(luroth23, 64.0, 2, 12.0, cap=210)[0][0].cost == 1989
+    for call in (lambda: mu_hat_cylinder(luroth23, 5.0, 12.0, cap=209),
+                 lambda: dyadic_scan(luroth23, 64.0, 2, 12.0, cap=209)):
+        with pytest.raises(ResourceCapError, match="needs more than cap=209 table entries"):
+            call()
 
 
 @pytest.mark.parametrize("r,b", [(0.99999, 0.0), (0.9, 0.05), (0.5, 0.5), (0.2, 0.3)])

@@ -311,6 +311,43 @@ def test_stopping_family_cap_checked_before_words_are_built(luroth23):
     assert peak < 5 * 2 ** 20
 
 
+def test_stopping_walk_caps_entries_before_words(luroth23):
+    # t=2: 4 states (12 entries) and 5 words; t=12: 70 states (210 entries)
+    # and 1989 words.  The walk refuses on entries before words are counted.
+    assert len(stopping_words(luroth23, 2.0, cap=12)) == 5
+    with pytest.raises(ResourceCapError, match="needs more than cap=11 table entries"):
+        stopping_words(luroth23, 2.0, cap=11)
+    with pytest.raises(ResourceCapError, match="needs more than cap=209 table entries"):
+        stopping_words(luroth23, 12.0, cap=209)
+    with pytest.raises(ResourceCapError, match="has 1989 words, more than cap=210"):
+        stopping_words(luroth23, 12.0, cap=210)
+
+
+def test_stopping_walk_refuses_within_its_entries():
+    # About 1e5 levels of up to 435 states: far more entries than the cap,
+    # refused once the tables hold cap of them, at 8 B each plus one level.
+    ifs = WeightedIFS((0, 1, 2), (Similitude(0.998, 0.0), Similitude(0.001, 0.998),
+                                  Similitude(0.001, 0.999)), (0.5, 0.25, 0.25))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="needs more than cap=200000 table entries"):
+            stopping_words(ifs, 200.0, cap=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 200_000
+
+
+def test_stopping_walk_depth_refused_before_the_walk(luroth23):
+    # The walk keeps a state on each of its t / log 2 levels at least.
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=r"needs up to \d{309} steps, cap="):
+        stopping_words(luroth23, 1e308)
+    with pytest.raises(ResourceCapError, match="needs up to 146 steps, cap=144"):
+        mu_hat_cylinder(luroth23, 1.0, 100.0, cap=144)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_stopping_family_rejects_bad_t(luroth23):
     with pytest.raises(InputError):
         stopping_words(luroth23, 0.0)
