@@ -217,6 +217,7 @@ def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: di
     rows are tuples, or one float array.  The sidecar records each
     table's header, row count and CSV sha256, not its rows; the hash is
     taken from the bytes as they are written, so no CSV is read back.
+    A CSV whose writing raised (a cell _fmt refuses) is removed.
     """
     base, ext = os.path.splitext(args.out)
     if ext.lower() != ".csv":
@@ -225,11 +226,16 @@ def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: di
     for name, (header, rows) in tables.items():
         path = base + ext if name == "main" else f"{base}.{name}{ext}"
         digest = hashlib.sha256()
-        with open(path, "wb") as fh:
-            for text in _csv_blocks(header, rows):
-                data = text.encode("utf-8")
-                fh.write(data)
-                digest.update(data)
+        fh = open(path, "wb")
+        try:
+            with fh:
+                for text in _csv_blocks(header, rows):
+                    data = text.encode("utf-8")
+                    fh.write(data)
+                    digest.update(data)
+        except BaseException:
+            os.remove(path)
+            raise
         written[name] = {"header": header, "rows": len(rows), "sha256": digest.hexdigest()}
     sidecar = {
         "version": __version__,
@@ -569,9 +575,11 @@ def _run(args: argparse.Namespace) -> int:
         if command.spec == "luroth" and spec.luroth_digits is None:
             raise InputError("this command needs a {'luroth': [...]} spec")
     summary, tables = command.run(args, spec)
-    print(args.command + " " + " ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
+    # Formatted first and printed last, so a refused cell leaves no stdout line.
+    line = args.command + " " + " ".join(f"{k}={_fmt(v)}" for k, v in summary.items())
     if args.out:
         _write_artifacts(args, spec.sha256 if spec else None, summary, tables, started)
+    print(line)
     return 0
 
 

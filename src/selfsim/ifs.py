@@ -4,9 +4,9 @@ An instance is a finite alphabet of contractions x -> r*x + b together with
 strictly positive probability weights.  Finite words over the alphabet
 compose to affine maps whose images are the cylinder intervals.  Every
 cylinder family is built level by level from one refinement step,
-_refine; the stopping family at scale exp(-t) is decided once, by
-_stopping_states, and is the prefix-free word set on which the Fourier
-sums are built.
+_refine.  The stopping family at scale exp(-t) is the prefix-free set of
+minimal words w with S(w) = sum_k n_k(w) * l_k >= t, l_k = -log r_k, on
+symbol counts n(w); _stopping_states decides it for the Fourier sums.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,7 +119,8 @@ class Word:
     measure) compose in refinement order: the first symbol acts
     outermost and each appended symbol subdivides the current cylinder.
     compose_word alone composes in orbit order.  ratio_product and
-    weight_product are products of the same factors in either order.
+    weight_product are products of the same factors in either order.  A
+    stopping family takes words by symbol counts, not by ratio_product.
     """
 
     symbols: tuple
@@ -200,7 +202,11 @@ def validate_disjointness(ifs: WeightedIFS) -> DisjointnessReport:
 
 @dataclass(frozen=True)
 class StoppingFamily:
-    """Minimal words whose contraction has reached the scale exp(-t)."""
+    """Minimal words w with S(w) >= t, the stopping family at scale exp(-t).
+
+    S(w) = sum_k n_k * l_k over w's symbol counts n, with l_k = -log r_k,
+    so words with equal counts are all in the family or all internal.
+    """
 
     t: float
     words: tuple[Word, ...]
@@ -213,8 +219,8 @@ class StoppingFamily:
         return math.fsum(w.weight_product for w in self.words)
 
 
-def _check_stopping_args(ifs: WeightedIFS, t: float, cap: int) -> float:
-    """Validate t and cap; return the step bound t / -log(max_ratio).
+def _check_stopping_args(ifs: WeightedIFS, t: float, cap: int) -> None:
+    """Validate t and cap against the step bound t / -log(max_ratio).
 
     No internal node of the stopping tree has more than ceil(bound)
     symbols, so a walk takes at most ceil(bound) + 1 steps.
@@ -230,49 +236,38 @@ def _check_stopping_args(ifs: WeightedIFS, t: float, cap: int) -> float:
         steps = math.ceil(bound) + 1 if math.isfinite(bound) else bound
         raise ResourceCapError(
             f"stopping walk for t={t!r} needs up to {steps} steps, cap={cap}")
-    return bound
 
 
-# Steps per block of the single-map walk.
-_WALK_BLOCK = 1 << 16
+def _levels_over_cap(size: int, depth: int, cap: int) -> bool:
+    """Whether a walk of ``depth`` levels of size**depth cylinders exceeds ``cap``.
+
+    Each level is one refinement, so depth > cap is refused also for one
+    map; with two or more, size**depth > cap once depth reaches cap's bit
+    length, so the power is never formed for a huge depth.
+    """
+    return depth > cap or size ** min(depth, cap.bit_length()) > cap
 
 
 def _single_map_word(ifs: WeightedIFS, t: float, cap: int) -> tuple[int, float, float, float]:
     """The one word of a single-map system's stopping family at scale exp(-t).
 
-    Returns its length, ratio product, cylinder start and mass.  The
-    length is found by the stopping rule of _stopping_states: the running
-    ratio product stays internal while ratio * r > exp(-t).  Cylinder
-    start and mass accumulate as _refine builds them, so the word equals
-    the one the level walk gives.  The steps are taken in blocks of up to
-    _WALK_BLOCK: np.multiply.accumulate and np.add.accumulate round the
-    running products and sums one step at a time, as a scalar loop does.
-    The cap bounds the steps, checked by _check_stopping_args before the
-    first one.
+    Returns its length, ratio product, cylinder start and mass.  With one
+    map the count vector is the length n, so the stopping rule of
+    _stopping_states, S(n) = n * l >= t with l = -log r, picks the least
+    such n, found from ceil(t / l) by at most one step either way.  The
+    word is then a closed form: ratio r**n, start b * (1 - r**n) / (1 - r)
+    and mass p**n.  The cap bounds n, checked by _check_stopping_args.
     """
-    bound = _check_stopping_args(ifs, t, cap)
+    _check_stopping_args(ifs, t, cap)
     (m,), (p,) = ifs.maps, ifs.weights
-    threshold = math.exp(-t)
-    size = min(_WALK_BLOCK, math.ceil(bound) + 1)
-    n, ratio, lo, mass = 0, 1.0, 0.0, 1.0
-    while True:
-        # Entry i of each array is the state after i more steps.
-        ratios = np.full(size + 1, m.ratio)
-        ratios[0] = ratio
-        np.multiply.accumulate(ratios, out=ratios)
-        stops = np.flatnonzero(ratios[1:] <= threshold)
-        k = int(stops[0]) + 1 if stops.size else size
-        masses = np.full(k + 1, p)
-        masses[0] = mass
-        starts = np.empty(k + 1)
-        starts[0] = lo
-        np.multiply(ratios[:k], m.translation, out=starts[1:])
-        n += k
-        ratio = float(ratios[k])
-        lo = float(np.add.accumulate(starts)[k])
-        mass = float(np.multiply.accumulate(masses)[k])
-        if stops.size:
-            return n, ratio, lo, mass
+    ell = -math.log(m.ratio)
+    n = math.ceil(t / ell)
+    if (n - 1) * ell >= t:
+        n -= 1
+    elif n * ell < t:
+        n += 1
+    ratio = m.ratio ** n
+    return n, ratio, m.translation * (1.0 - ratio) / (1.0 - m.ratio), p ** n
 
 
 def _stopping_states(
@@ -280,15 +275,14 @@ def _stopping_states(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     """Internal nodes of the stopping tree at scale exp(-t), merged by symbol counts.
 
-    The subtree below a word depends only on its ratio product, which
-    depends only on how often each symbol occurs, so words with equal
-    symbol counts share one state.  States are discovered level by level
-    (word length); a child stays internal iff ratio * r_k > exp(-t).
-    Level n is returned as (ratios, children): the ratio product of each
-    state with n symbols, and for each map k the index of the child state
-    at level n + 1, or -1 where the child is a family word.  The second
-    value is the family size, counted exactly from the tree nodes on each
-    state.
+    A word with symbol counts n is internal iff S(n) = sum_k n_k * l_k < t
+    (l_k = -log r_k, added in symbol order), so one state stands for the
+    multinomial(n) tree nodes with counts n.  States are discovered level
+    by level (word length).  Level n is returned as (ratios, children): the
+    ratio product of each state with n symbols, as its first parent's
+    running product, and for each map k the index of the child state at
+    level n + 1, or -1 where the child is a family word.  The second value
+    is the family size, counted exactly from the tree nodes on each state.
 
     The cap counts what the walk keeps: K + 1 table entries per state, its
     ratio product and its K child indices.  ResourceCapError is raised iff
@@ -297,8 +291,8 @@ def _stopping_states(
     however many words the family has.
     """
     _check_stopping_args(ifs, t, cap)
-    threshold = math.exp(-t)
     ratios = [m.ratio for m in ifs.maps]
+    ells = [-math.log(r) for r in ratios]
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     # Symbol counts -> [index in level, ratio product, tree nodes].
     frontier: dict[tuple[int, ...], list] = {(0,) * ifs.size: [0, 1.0, 1]}
@@ -312,14 +306,13 @@ def _stopping_states(
                 raise ResourceCapError(
                     f"stopping walk for t={t!r} needs more than cap={cap} table entries")
             for k, r_k in enumerate(ratios):
-                r = ratio * r_k
-                if r <= threshold:
-                    words += nodes
-                    continue
                 key = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
                 entry = below.get(key)
                 if entry is None:
-                    entry = below[key] = [len(below), r, 0]
+                    if sum(map(mul, key, ells)) >= t:
+                        words += nodes
+                        continue
+                    entry = below[key] = [len(below), ratio * r_k, 0]
                     entries += ifs.size + 1
                 entry[2] += nodes
                 children[i, k] = entry[0]
@@ -346,16 +339,16 @@ def _refine(
 
 
 def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> StoppingFamily:
-    """Enumerate the minimal words with contraction factor at most exp(-t).
+    """Enumerate the minimal words w with S(w) >= t (see StoppingFamily).
 
-    The family is the one _stopping_states decides: a child of an internal
-    node is a word exactly when its state table marks it so, and its ratio
-    product is the table's product ratio[state] * r_k, the very number
-    compared with exp(-t).  The family is therefore prefix-free, carries
-    total weight 1, every ratio product lies in (min_ratio * exp(-t),
-    exp(-t)], and its size equals mu_hat_cylinder's ``cost`` at every t.
-    Words come out in level order: by length, and lexicographically in
-    the alphabet order within one length.
+    The family is the one _stopping_states decides from symbol counts: a
+    child of an internal node is a word exactly when its state table marks
+    it so, and its ratio product is the table's product ratio[state] * r_k.
+    The family is therefore prefix-free, carries total weight 1, its ratio
+    products lie in (min_ratio * exp(-t), exp(-t)] up to rounding, and its
+    size equals mu_hat_cylinder's ``cost`` at every t, also where exp(-t)
+    underflows.  Words come out in level order: by length, and
+    lexicographically in the alphabet order within one length.
 
     The affine data of each word composes the maps in refinement order
     (see Word), so the family's cylinders are nested below their prefixes
@@ -363,8 +356,8 @@ def stopping_words(ifs: WeightedIFS, t: float, cap: int = DEFAULT_WORD_CAP) -> S
     decomposition over the family requires.  The cap bounds the state
     walk as _stopping_states says, and then the words: ResourceCapError
     is raised when the family has more than ``cap`` words, before any
-    word is built.  A single map's one word is found by a walk of up to
-    ceil(t / -log r) + 1 steps, and the cap bounds those steps.
+    word is built.  A single map's one word is the closed form of
+    _single_map_word, and the cap bounds its ceil(t / -log r) + 1 steps.
     """
     if ifs.size == 1:
         n, ratio, lo, mass = _single_map_word(ifs, t, cap)

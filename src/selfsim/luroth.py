@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .dimension import natural_weights, solve_moran
 from .diophantine import _check_digits, matveev_degree
 from .errors import InputError, ResourceCapError
-from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS
+from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS, _levels_over_cap
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,7 @@ def figure_intervals(
     ds = _digit_set(digits)
     if level < 1:
         raise InputError(f"level must be at least 1, got {level!r}")
-    # K^level > cap once level reaches cap's bit length, so huge levels are
-    # refused before the power is formed.
-    if (len(ds) > 1 and level >= cap.bit_length()) or len(ds) ** level > cap:
+    if _levels_over_cap(len(ds), level, cap):
         raise ResourceCapError(f"level {level} needs {len(ds)}^{level} intervals, cap={cap}")
     cylinders = [(0, 1)]
     for _ in range(level):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceCapError
-from .ifs import DEFAULT_WORD_CAP, WeightedIFS, Word, _refine, validate_disjointness
+from .ifs import (
+    DEFAULT_WORD_CAP, WeightedIFS, Word, _levels_over_cap, _refine, validate_disjointness)
 
 # Most cylinder pairs held at once by the diagonal sweep.
 _PAIR_ENTRIES = 1 << 16
@@ -161,9 +162,7 @@ def diagonal_mass(
         raise InputError(f"strip half-width must be positive, got {delta!r}")
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth!r}")
-    # K^depth > cap once depth reaches cap's bit length, so huge depths are
-    # refused before the power is formed.
-    if (ifs.size > 1 and depth >= cap.bit_length()) or ifs.size ** depth > cap:
+    if _levels_over_cap(ifs.size, depth, cap):
         raise ResourceCapError(
             f"diagonal walk needs {ifs.size}^{depth} level-{depth} cylinders, cap={cap}")
     count = ifs.size ** depth

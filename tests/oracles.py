@@ -4,14 +4,14 @@ Everything here is written against the plain mathematical definitions,
 avoiding the code paths under test: breadth-first enumeration instead of
 the library's depth-first stack, an infinite-product formula for the
 Cantor transform, a binomial lattice recursion for overshoot laws, sine
-and cosine integrals for the stationary overshoot limit, and exact
-Fraction arithmetic for series values.  The overshoot sampler's panel
-stream is restated as a loop over walkers and their steps.  Five oracles
-are earlier versions of library code kept as references: the row-by-row
-diagonal sweep, the regularity scan over every symbol multiset, the
-Fraction refinement of Luroth cylinder intervals, the CSV rendering of a
-table row by row through csv.writer, and the single-map stopping walk
-one scalar step at a time.
+and cosine integrals for the stationary overshoot limit, exact
+Fraction arithmetic for series values, and a sum of multinomial
+coefficients over count vectors for stopping-family sizes.  The overshoot
+sampler's panel stream is restated as a loop over walkers and their
+steps.  Four oracles are earlier versions of library code kept as
+references: the row-by-row diagonal sweep, the regularity scan over every
+symbol multiset, the Fraction refinement of Luroth cylinder intervals,
+and the CSV rendering of a table row by row through csv.writer.
 """
 
 from __future__ import annotations
@@ -49,6 +49,45 @@ def bfs_stopping_words(ratios, threshold: float):
                     nxt.append((child, p))
         frontier = nxt
     return done
+
+
+def lattice_family_size(ratios, t: float) -> int:
+    """Size of the stopping family at scale exp(-t), summed over count vectors.
+
+    With l_k = -log r_k and S(n) = sum_k n_k * l_k added in symbol order,
+    a word with symbol counts n is internal iff S(n) < t, and multinomial(n)
+    words share the counts n.  The family size is therefore
+
+        sum over n with S(n) < t of multinomial(n) * #{k : S(n + e_k) >= t},
+
+    taken here in exact integers over the count vectors found by
+    stepping up one coordinate at a time from 0.
+    """
+    ells = [-math.log(r) for r in ratios]
+
+    def score(counts):
+        return sum(c * ell for c, ell in zip(counts, ells))
+
+    def multinomial(counts):
+        value, total = 1, 0
+        for c in counts:
+            total += c
+            value *= math.comb(total, c)
+        return value
+
+    size = 0
+    seen = {(0,) * len(ells)}
+    todo = list(seen)
+    while todo:
+        counts = todo.pop()
+        for k in range(len(ells)):
+            up = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
+            if score(up) >= t:
+                size += multinomial(counts)
+            elif up not in seen:
+                seen.add(up)
+                todo.append(up)
+    return size
 
 
 def panel_overshoots(lam, t: float, seed: int, chunk_index: int, count: int,
@@ -261,22 +300,3 @@ def csv_bytes(header, rows) -> bytes:
     for row in rows:
         writer.writerow([fmt(v) for v in row])
     return buf.getvalue().encode("utf-8")
-
-
-def single_map_walk(r: float, b: float, p: float, t: float) -> tuple[int, float, float, float]:
-    """The stopping word of the single map x -> r*x + b with weight p, one step at a time.
-
-    The running ratio product stays internal while ratio * r > exp(-t);
-    each step adds ratio * b to the cylinder start and multiplies the mass
-    by p.  Returns the word's length, ratio product, start and mass.
-    """
-    threshold = math.exp(-t)
-    n, ratio, lo, mass = 0, 1.0, 0.0, 1.0
-    while True:
-        n += 1
-        lo = lo + ratio * b
-        mass = mass * p
-        child = ratio * r
-        if child <= threshold:
-            return n, child, lo, mass
-        ratio = child

@@ -185,6 +185,26 @@ def test_huge_exact_values_exit_cleanly(tmp_path, capsys, args, code, message):
     assert time.monotonic() - started < 1.0
 
 
+def test_one_map_depth_is_capped(capsys):
+    # One cylinder per level, but one refinement per level: depth > cap is refused.
+    started = time.monotonic()
+    code, _, err = run(["diagonal", "--spec", '{"maps":[["1/2","0"]]}', "--delta", "1e-6",
+                        "--depth", "100000000"], capsys)
+    assert code == 3 and "needs 1^100000000 level-100000000 cylinders, cap=50000000" in err
+    assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer string conversion limit before Python 3.11")
+def test_refused_cell_leaves_no_output(tmp_path, capsys):
+    out = tmp_path / "lf.csv"
+    code, stdout, err = run(["luroth-figure", "--spec", '{"luroth":[2]}', "--level", "15000",
+                             "--out", str(out)], capsys)
+    assert code == 2 and "the limit for integer string conversion" in err
+    assert stdout == ""
+    assert not out.exists() and not (tmp_path / "lf.json").exists()
+
+
 def test_spec_file_loading(tmp_path, capsys):
     spec_path = tmp_path / "job.json"
     spec_path.write_text(CANTOR_SPEC)

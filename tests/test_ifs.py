@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpmath import mp, mpf
+
 from conftest import random_disjoint_ifs
-from oracles import bfs_stopping_words, single_map_walk
+from oracles import bfs_stopping_words, lattice_family_size
 from selfsim import (
     InputError,
     ResourceCapError,
@@ -20,8 +22,7 @@ from selfsim import (
     stopping_words,
     validate_disjointness,
 )
-import selfsim.ifs
-from selfsim.ifs import DEFAULT_WORD_CAP, _single_map_word
+from selfsim.ifs import DEFAULT_WORD_CAP
 from selfsim.luroth import luroth_natural_ifs
 
 
@@ -174,6 +175,7 @@ def assert_family_at_tie(rng):
     t = -math.log(math.prod(ifs.maps[k].ratio for k in word))
     fam = stopping_words(ifs, t)
     assert len(fam) == mu_hat_cylinder(ifs, 1.0, t).cost
+    assert len(fam) == lattice_family_size([m.ratio for m in ifs.maps], t)
     symbol_lists = sorted(w.symbols for w in fam.words)
     for a, b in zip(symbol_lists, symbol_lists[1:]):
         assert a != b[: len(a)], "family must be prefix-free"
@@ -240,22 +242,25 @@ def test_single_map_family_is_one_word_at_any_depth():
 @pytest.mark.parametrize("r,b,p,t", [
     (0.5, 0.25, 1.0, 10.0), (0.99, 0.0, 1.0, 3.0), (0.9, 0.05, 1.0, 20.0),
     (0.3, 0.7, 1.0 - 4e-13, 30.0), (0.7, 0.1, 1.0, 1e-3), (0.5, 0.5, 1.0, 800.0),
+    # Float ties: ceil(t / -log r) is one above, and one below, the least n.
+    (0.99, 0.0, 1.0, 16.653406509251905), (0.7, 0.1, 1.0, 52.787891702932406),
 ])
 def test_single_map_word_follows_the_walk(r, b, p, t):
     ifs = WeightedIFS(("a",), (Similitude(r, b),), (p,))
     (word,) = stopping_words(ifs, t).words
-    (want,) = bfs_stopping_words([r], math.exp(-t))
-    assert word.symbols == ("a",) * len(want)
-    # compose_word takes the running products of r and of p, as the walk does.
+    # The count rule: the least n with n * -log(r) >= t.
+    ell = -math.log(r)
+    assert len(word) == next(n for n in range(1, 10 ** 4) if n * ell >= t)
+    # compose_word takes the running products of r and of p.
     ref = compose_word(ifs, word.symbols)
-    assert word.ratio_product == ref.ratio_product
+    assert word.ratio_product == pytest.approx(ref.ratio_product, rel=1e-15)
     assert word.weight_product == ref.weight_product
     assert word.intercept == pytest.approx(
         b * (1.0 - word.ratio_product) / (1.0 - r), rel=1e-12, abs=1e-300)
 
 
 def test_single_map_long_word_without_a_level_walk():
-    # About 3e5 symbols, found in blocks of steps.
+    # About 3e5 symbols, found in closed form.
     ifs = WeightedIFS((0,), (Similitude(0.99999, 0.0),), (1.0,))
     (word,) = stopping_words(ifs, 3.0).words
     assert len(word) == math.ceil(3.0 / -math.log(0.99999))
@@ -263,18 +268,38 @@ def test_single_map_long_word_without_a_level_walk():
     assert word.intercept == 0.0 and word.weight_product == 1.0
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 15, 16])
 @pytest.mark.parametrize("r,b,p,t", [
     (0.5, 0.25, 1.0, 10.0), (0.99, 0.01, 1.0 - 4e-13, 3.0), (1 / 3, 2 / 3, 1.0, 20.0),
-    (0.5, 0.5, 1.0, 800.0), (0.999, 0.001, 1.0, 0.1),
+    (0.5, 0.5, 1.0, 800.0), (0.999, 0.001, 1.0, 0.1), (0.9999999, 1e-7, 1.0 - 4e-13, 3.0),
 ])
-def test_single_map_blocks_match_the_scalar_walk(monkeypatch, block, r, b, p, t):
-    # The 15-step walk at (0.5, t=10) stops at a block's end for blocks of
-    # 3 and 15 and inside a block for 2 and 16; the longer walks cross
-    # many blocks.
-    monkeypatch.setattr(selfsim.ifs, "_WALK_BLOCK", block)
+def test_single_map_word_matches_high_precision(r, b, p, t):
+    # The closed form against 50 digits over the same floats r, b and p;
+    # r = 0.9999999 at t = 3 has about 3e7 symbols.
     ifs = WeightedIFS(("a",), (Similitude(r, b),), (p,))
-    assert _single_map_word(ifs, t, DEFAULT_WORD_CAP) == single_map_walk(r, b, p, t)
+    (word,) = stopping_words(ifs, t).words
+    with mp.workdps(50):
+        power = mpf(r) ** len(word)
+        want = {"ratio_product": power, "intercept": mpf(b) * (1 - power) / (1 - mpf(r)),
+                "weight_product": mpf(p) ** len(word)}
+        for name, exact in want.items():
+            got = getattr(word, name)
+            assert abs(mpf(got) - exact) <= 4 * math.ulp(float(exact)), name
+
+
+def test_single_map_word_past_float_underflow():
+    # 2^-1155 is below the least subnormal; the count rule still stops at
+    # the least n with n * log 2 >= 800.
+    ifs = WeightedIFS(("a",), (Similitude(0.5, 0.5),), (1.0,))
+    (word,) = stopping_words(ifs, 800.0).words
+    assert len(word) == 1155 and word.ratio_product == 0.0 and word.intercept == 1.0
+
+
+def test_family_size_matches_the_lattice_where_exp_underflows():
+    # exp(-t) rounds to 0 at each of these t; long steps keep the lattice
+    # under 6e3 count vectors.
+    ifs = WeightedIFS((0, 1), (Similitude(1e-3, 0.0), Similitude(1e-4, 0.5)), (0.5, 0.5))
+    for t in (745.5, 760.0, 800.0):
+        assert mu_hat_cylinder(ifs, 1.0, t).cost == lattice_family_size([1e-3, 1e-4], t)
 
 
 def test_single_map_walk_is_capped_before_its_first_step():
