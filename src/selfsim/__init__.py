@@ -49,8 +49,6 @@ from .ifs import (
     StoppingFamily,
     WeightedIFS,
     Word,
-    compose_word,
-    point_from_code,
     stopping_words,
     validate_disjointness,
 )
@@ -66,7 +64,6 @@ from .luroth import (
 )
 from .measure import (
     RegularityReport,
-    cylinder_mass,
     diagonal_mass,
     interval_mass_bounds,
     regularity_scan,
@@ -110,9 +107,7 @@ __all__ = [
     "beta_theorem4",
     "classify_lattice",
     "classify_ratio",
-    "compose_word",
     "continued_fraction_expansion",
-    "cylinder_mass",
     "decay_fit",
     "diagonal_mass",
     "dyadic_scan",
@@ -131,7 +126,6 @@ __all__ = [
     "natural_weights",
     "perfect_power_free",
     "phase_test_function",
-    "point_from_code",
     "regularity_scan",
     "renewal_expectation_mc",
     "renewal_limit",

@@ -94,11 +94,10 @@ def _family_sums(
             here = np.zeros(angle.shape, dtype=complex)
             for k, (m, p) in enumerate(zip(ifs.maps, ifs.weights)):
                 child = children[:, k]
-                word = child < 0
-                inner = ~word
-                term = np.empty_like(here)
-                term[word] = np.exp(1j * (angle[word] * (m.translation + 0.5 * m.ratio)))
-                term[inner] = np.exp(1j * (angle[inner] * m.translation)) * below[child[inner]]
+                inner = child >= 0
+                shift = np.where(inner, m.translation, m.translation + 0.5 * m.ratio)
+                term = np.exp(1j * (angle * shift[:, None]))
+                term[inner] *= below[child[inner]]
                 here += p * term
             below = here
         values[start:start + len(chunk)] = below[0]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,18 +93,6 @@ class WeightedIFS:
     def max_ratio(self) -> float:
         return max(m.ratio for m in self.maps)
 
-    def index(self, symbol) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise InputError(f"symbol {symbol!r} is not in the alphabet {self.symbols!r}") from None
-
-    def map_for(self, symbol) -> Similitude:
-        return self.maps[self.index(symbol)]
-
-    def weight_for(self, symbol) -> float:
-        return self.weights[self.index(symbol)]
-
     def with_weights(self, weights: Sequence[float]) -> "WeightedIFS":
         return WeightedIFS(self.symbols, self.maps, tuple(float(w) for w in weights))
 
@@ -115,12 +103,9 @@ class Word:
 
     The composed map is x -> ratio_product * x + intercept, so the word's
     cylinder is ``interval`` = [intercept, intercept + ratio_product].
-    Families of words (stopping_words and the level frontiers of
-    measure) compose in refinement order: the first symbol acts
-    outermost and each appended symbol subdivides the current cylinder.
-    compose_word alone composes in orbit order.  ratio_product and
-    weight_product are products of the same factors in either order.  A
-    stopping family takes words by symbol counts, not by ratio_product.
+    Words compose in refinement order: the first symbol acts outermost
+    and each appended symbol subdivides the current cylinder.  A stopping
+    family takes words by symbol counts, not by ratio_product.
     """
 
     symbols: tuple
@@ -135,41 +120,6 @@ class Word:
     def interval(self) -> tuple[float, float]:
         """Image of [0,1] under the word's composed map."""
         return (self.intercept, self.intercept + self.ratio_product)
-
-
-def compose_word(ifs: WeightedIFS, symbols: Iterable) -> Word:
-    """Compose the maps named by ``symbols`` in orbit order.
-
-    The first symbol's map is applied first, so later symbols act
-    outermost: the word (a, b) composes to map_b after map_a.  This is the
-    order in which a trajectory visits the maps.  The refinement order
-    used for cylinder families is the reverse; see Word.
-    """
-    syms = tuple(symbols)
-    ratio = 1.0
-    intercept = 0.0
-    weight = 1.0
-    for s in syms:
-        m = ifs.map_for(s)
-        ratio *= m.ratio
-        intercept = m.ratio * intercept + m.translation
-        weight *= ifs.weight_for(s)
-    return Word(syms, ratio, weight, intercept)
-
-
-def point_from_code(ifs: WeightedIFS, symbols: Iterable) -> tuple[float, float]:
-    """Midpoint of a symbolic code's cylinder plus a radius bounding the error.
-
-    The code is read in refinement order: the first symbol picks the
-    level-1 cylinder, each following symbol a sub-cylinder within it, so
-    any point of the attractor whose expansion extends the code lies
-    within ``radius`` of the returned midpoint.
-    """
-    syms = tuple(symbols)
-    if not syms:
-        raise InputError("need at least one symbol to locate a point")
-    word = compose_word(ifs, reversed(syms))
-    return (word.intercept + 0.5 * word.ratio_product, 0.5 * word.ratio_product)
 
 
 @dataclass(frozen=True)
@@ -276,7 +226,8 @@ def _stopping_states(
     """Internal nodes of the stopping tree at scale exp(-t), merged by symbol counts.
 
     A word with symbol counts n is internal iff S(n) = sum_k n_k * l_k < t
-    (l_k = -log r_k, added in symbol order), so one state stands for the
+    (l_k = -log r_k; S is the math.fsum of the rounded products n_k * l_k,
+    the same on every interpreter), so one state stands for the
     multinomial(n) tree nodes with counts n.  States are discovered level
     by level (word length).  Level n is returned as (ratios, children): the
     ratio product of each state with n symbols, as its first parent's
@@ -309,7 +260,7 @@ def _stopping_states(
                 key = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
                 entry = below.get(key)
                 if entry is None:
-                    if sum(map(mul, key, ells)) >= t:
+                    if math.fsum(map(mul, key, ells)) >= t:
                         words += nodes
                         continue
                     entry = below[key] = [len(below), ratio * r_k, 0]

@@ -11,6 +11,7 @@ the integers, so encoding and decoding round-trip at any depth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -128,12 +129,24 @@ def figure_intervals(
     interval [A/W, (A+1)/W] of _refine_cylinder.  The maps increase and
     larger digits lie further left, so refining by descending digits
     keeps the intervals sorted by left endpoint.
+
+    The reduced denominators q1, q2 of an interval's ends satisfy
+    q1 * q2 >= W, so the word repeating the largest digit d has an end
+    with a denominator of at least (d * (d - 1)) ** (level / 2).  When that
+    bound has more digits than the interpreter's int-to-str limit, the
+    ends cannot be printed, and InputError is raised before any interval
+    is built.
     """
     ds = _digit_set(digits)
     if level < 1:
         raise InputError(f"level must be at least 1, got {level!r}")
     if _levels_over_cap(len(ds), level, cap):
         raise ResourceCapError(f"level {level} needs {len(ds)}^{level} intervals, cap={cap}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and level * math.log10(ds[-1] * (ds[-1] - 1)) > 2 * limit + 1:
+        raise InputError(
+            f"level {level} has an interval end with more than {limit} digits, "
+            f"the int-to-str digit limit")
     cylinders = [(0, 1)]
     for _ in range(level):
         cylinders = [_refine_cylinder(a, w, d) for a, w in cylinders for d in reversed(ds)]

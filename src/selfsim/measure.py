@@ -18,17 +18,10 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceCapError
 from .ifs import (
-    DEFAULT_WORD_CAP, WeightedIFS, Word, _levels_over_cap, _refine, validate_disjointness)
+    DEFAULT_WORD_CAP, WeightedIFS, _levels_over_cap, _refine, validate_disjointness)
 
 # Most cylinder pairs held at once by the diagonal sweep.
 _PAIR_ENTRIES = 1 << 16
-
-
-def cylinder_mass(ifs: WeightedIFS, word: Word) -> float:
-    """Mass of the word's cylinder: the product of its symbol weights."""
-    for s in word.symbols:
-        ifs.index(s)
-    return word.weight_product
 
 
 def interval_mass_bounds(

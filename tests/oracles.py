@@ -8,10 +8,11 @@ and cosine integrals for the stationary overshoot limit, exact
 Fraction arithmetic for series values, and a sum of multinomial
 coefficients over count vectors for stopping-family sizes.  The overshoot
 sampler's panel stream is restated as a loop over walkers and their
-steps.  Four oracles are earlier versions of library code kept as
-references: the row-by-row diagonal sweep, the regularity scan over every
-symbol multiset, the Fraction refinement of Luroth cylinder intervals,
-and the CSV rendering of a table row by row through csv.writer.
+steps.  Five oracles are earlier versions of library code kept as
+references: compose_word, which composes a word in orbit order, the
+row-by-row diagonal sweep, the regularity scan over every symbol
+multiset, the Fraction refinement of Luroth cylinder intervals, and the
+CSV rendering of a table row by row through csv.writer.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.special import sici
+
+from selfsim import Word
 
 
 def bfs_stopping_words(ratios, threshold: float):
@@ -51,10 +54,32 @@ def bfs_stopping_words(ratios, threshold: float):
     return done
 
 
+def compose_word(ifs, symbols):
+    """Compose the maps named by ``symbols`` in orbit order.
+
+    The first symbol's map is applied first, so later symbols act
+    outermost: the word (a, b) composes to map_b after map_a, the order in
+    which a trajectory visits the maps.  Cylinder families compose in the
+    reverse, refinement order.  ratio_product and weight_product are
+    running products in the word's order.
+    """
+    syms = tuple(symbols)
+    ratio = 1.0
+    intercept = 0.0
+    weight = 1.0
+    for s in syms:
+        k = ifs.symbols.index(s)
+        m = ifs.maps[k]
+        ratio *= m.ratio
+        intercept = m.ratio * intercept + m.translation
+        weight *= ifs.weights[k]
+    return Word(syms, ratio, weight, intercept)
+
+
 def lattice_family_size(ratios, t: float) -> int:
     """Size of the stopping family at scale exp(-t), summed over count vectors.
 
-    With l_k = -log r_k and S(n) = sum_k n_k * l_k added in symbol order,
+    With l_k = -log r_k and S(n) = sum_k n_k * l_k summed by math.fsum,
     a word with symbol counts n is internal iff S(n) < t, and multinomial(n)
     words share the counts n.  The family size is therefore
 
@@ -66,7 +91,7 @@ def lattice_family_size(ratios, t: float) -> int:
     ells = [-math.log(r) for r in ratios]
 
     def score(counts):
-        return sum(c * ell for c, ell in zip(counts, ells))
+        return math.fsum(c * ell for c, ell in zip(counts, ells))
 
     def multinomial(counts):
         value, total = 1, 0

@@ -205,6 +205,21 @@ def test_refused_cell_leaves_no_output(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "lf.json").exists()
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no integer string conversion limit")
+def test_unprintable_figure_level_is_refused_before_its_loop(tmp_path, capsys, monkeypatch):
+    # Level 300 000 of the one digit 2 has an end with a denominator of at
+    # least 2^150000, far past the limit; building it took seconds.
+    monkeypatch.chdir(tmp_path)
+    base = ["luroth-figure", "--spec", '{"luroth":[2]}', "--level", "300000"]
+    for extra in ([], ["--out", str(tmp_path / "lf.csv")]):
+        start = time.perf_counter()
+        code, stdout, err = run(base + extra, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "digit limit" in err and stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spec_file_loading(tmp_path, capsys):
     spec_path = tmp_path / "job.json"
     spec_path.write_text(CANTOR_SPEC)

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import random_disjoint_ifs
-from oracles import bfs_stopping_words, lattice_family_size
+from oracles import bfs_stopping_words, compose_word, lattice_family_size
 from selfsim import (
     InputError,
     ResourceCapError,
     Similitude,
     WeightedIFS,
-    compose_word,
     mu_hat_cylinder,
-    point_from_code,
     stopping_words,
     validate_disjointness,
 )
@@ -76,35 +74,10 @@ def test_compose_word_applies_first_symbol_first(luroth23):
 def test_word_products_multiply(luroth23):
     word = compose_word(luroth23, (2, 3, 2))
     assert word.ratio_product == pytest.approx((1 / 2) * (1 / 6) * (1 / 2))
-    expected_weight = (luroth23.weight_for(2) ** 2) * luroth23.weight_for(3)
+    w2, w3 = luroth23.weights
+    expected_weight = (w2 ** 2) * w3
     assert word.weight_product == pytest.approx(expected_weight, rel=1e-15)
     assert word.symbols == (2, 3, 2)
-
-
-def test_point_from_code_refines(luroth23):
-    # Depth-1 code: midpoint and radius come straight from the map.
-    mid, rad = point_from_code(luroth23, (3,))
-    assert mid == pytest.approx(1 / 3 + 1 / 12)
-    assert rad == pytest.approx(1 / 12)
-    # Appending symbols refines: the new point stays within the old radius.
-    mid2, rad2 = point_from_code(luroth23, (3, 2))
-    assert abs(mid2 - mid) <= rad
-    assert rad2 < rad
-    # First symbol is outermost: code (2,3) sits inside the digit-2 branch.
-    mid23, rad23 = point_from_code(luroth23, (2, 3))
-    assert mid23 == pytest.approx(17.0 / 24.0)
-    assert rad23 == pytest.approx(1.0 / 24.0)
-
-
-def test_point_from_code_extension_property(luroth23):
-    rng = np.random.default_rng(11)
-    symbols = luroth23.symbols
-    for _ in range(50):
-        code = tuple(rng.choice(symbols, size=rng.integers(1, 6)))
-        ext = tuple(rng.choice(symbols, size=rng.integers(1, 5)))
-        mid, rad = point_from_code(luroth23, code)
-        mid_ext, _ = point_from_code(luroth23, code + ext)
-        assert abs(mid_ext - mid) <= rad + 1e-15
 
 
 def test_validate_disjointness_detects_overlap():
@@ -300,6 +273,18 @@ def test_family_size_matches_the_lattice_where_exp_underflows():
     ifs = WeightedIFS((0, 1), (Similitude(1e-3, 0.0), Similitude(1e-4, 0.5)), (0.5, 0.5))
     for t in (745.5, 760.0, 800.0):
         assert mu_hat_cylinder(ifs, 1.0, t).cost == lattice_family_size([1e-3, 1e-4], t)
+
+
+def test_stopping_rule_sums_s_correctly_rounded():
+    # S(3, 2, 4) is t in math.fsum but one ulp below t summed left to
+    # right, so the counts (3, 2, 4) are a family word only under fsum.
+    r = (0.12105029093719787, 0.23445944682304004, 0.28906681370902465)
+    maps = (Similitude(r[0], 0.0), Similitude(r[1], r[0]), Similitude(r[2], r[0] + r[1]))
+    ifs = WeightedIFS((0, 1, 2), maps, (1 / 3, 1 / 3, 1 / 3))
+    t = 14.199982571018941
+    assert lattice_family_size(r, t) == 41709
+    assert mu_hat_cylinder(ifs, 1.0, t).cost == 41709
+    assert len(stopping_words(ifs, t)) == 41709
 
 
 def test_single_map_walk_is_capped_before_its_first_step():

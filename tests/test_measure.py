@@ -8,14 +8,12 @@ import pytest
 
 import selfsim.measure
 from conftest import random_disjoint_ifs
-from oracles import multiset_regularity, rowwise_diagonal_sweep
+from oracles import compose_word, multiset_regularity, rowwise_diagonal_sweep
 from selfsim import (
     InputError,
-    compose_word,
     ResourceCapError,
     Similitude,
     WeightedIFS,
-    cylinder_mass,
     diagonal_mass,
     interval_mass_bounds,
     regularity_scan,
@@ -36,17 +34,6 @@ def lebesgue():
     # Two half-scale maps tile [0,1]; the invariant measure is Lebesgue.
     return WeightedIFS(
         (0, 1), (Similitude(0.5, 0.0), Similitude(0.5, 0.5)), (0.5, 0.5))
-
-
-def test_cylinder_mass_golden(luroth23):
-    word = compose_word(luroth23, (2, 3))
-    assert cylinder_mass(luroth23, word) == pytest.approx(
-        0.22461970070983261, abs=1e-16)
-    w2 = luroth23.weight_for(2)
-    w3 = luroth23.weight_for(3)
-    assert cylinder_mass(luroth23, word) == pytest.approx(w2 * w3, rel=1e-15)
-    with pytest.raises(InputError):
-        compose_word(luroth23, (2, 7))
 
 
 def test_interval_mass_lebesgue_exact(lebesgue):
