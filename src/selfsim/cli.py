@@ -15,7 +15,10 @@ An invocation builds the argument parser of the command it names and no
 other; only a bare ``selfsim``, ``selfsim -h`` or an unknown command
 builds the tree of all commands.  Table cells are joined with commas
 directly: no cell text holds a comma, a quote or a line break, so no cell
-needs csv quoting, and every block of rows is checked for that.
+needs csv quoting, and every block of tuple rows is checked for that.  A
+float array table is rendered in numpy, block by block, to the exact
+bytes of "%.17g" (selfsim.floatcsv): a cell is either certified by the
+fast path, whose digits are exact, or rendered by "%.17g" itself.
 
 Library functions are called through this module's globals, looked up
 at call time, so a tracer can replace them here.
@@ -186,25 +189,29 @@ def _unquoted(text: str, rows: int, columns: int) -> str:
 
 
 def _csv_blocks(header: list[str], rows):
-    """The CSV text of one table, header first, then blocks of rows.
+    """The CSV bytes of one table, header first, then blocks of rows.
 
-    A float array renders each row with one "%.17g,...,%.17g\r\n" format;
-    other tables are rows of tuples whose cells _fmt renders and commas
-    join.  Both give the bytes of csv.writer over _fmt's text, since no
-    cell needs quoting (checked per block by _unquoted).
+    A float64 array is rendered by floatcsv.FloatCells: each cell is
+    either certified by its fast path or written by "%.17g" itself, so
+    every cell has the bytes of b"%.17g" % cell.  Other tables are rows of
+    tuples whose cells _fmt renders and commas join.  Both give the bytes
+    of csv.writer over the "%.17g" or _fmt text, since no cell needs
+    quoting (a float cell cannot hold a comma; the others are checked per
+    block by _unquoted).
     """
     columns = len(header)
-    yield _unquoted(",".join(header) + "\r\n", 1, columns)
-    array = isinstance(rows, np.ndarray)
-    if array:
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    yield _unquoted(",".join(header) + "\r\n", 1, columns).encode()
+    if isinstance(rows, np.ndarray):
+        from .floatcsv import FloatCells  # compiled only where a float table is written
+
+        cells = FloatCells(min(len(rows), _BLOCK_ROWS) * columns)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            yield cells.render(rows[start:start + _BLOCK_ROWS])
+        return
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        if array:
-            yield (line * len(block)) % tuple(block.ravel().tolist())
-        else:
-            text = "".join([",".join(map(_fmt, row)) + "\r\n" for row in block])
-            yield _unquoted(text, len(block), columns)
+        text = "".join([",".join(map(_fmt, row)) + "\r\n" for row in block])
+        yield _unquoted(text, len(block), columns).encode()
 
 
 def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: dict,
@@ -229,8 +236,7 @@ def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: di
         fh = open(path, "wb")
         try:
             with fh:
-                for text in _csv_blocks(header, rows):
-                    data = text.encode("utf-8")
+                for data in _csv_blocks(header, rows):
                     fh.write(data)
                     digest.update(data)
         except BaseException:

@@ -220,6 +220,21 @@ def _single_map_word(ifs: WeightedIFS, t: float, cap: int) -> tuple[int, float, 
     return n, ratio, m.translation * (1.0 - ratio) / (1.0 - m.ratio), p ** n
 
 
+def _min_states(ells: Sequence[float], t: float) -> float:
+    """A lower bound on the count vectors n >= 0 with sum_k n_k * l_k < t.
+
+    Every real x >= 0 with S(x) = sum_k x_k * l_k < t lies in the unit
+    cube of n = floor(x), and S(n) <= S(x) < t, so these cubes cover the
+    simplex {x >= 0 : S(x) < t} of volume t**K / (K! * prod_k l_k).  The
+    volume is formed in logarithms (capped at exp(709), far past any cap,
+    so it cannot overflow) and shrunk by a relative 1e-9, more than the
+    rounding of the logarithms and of the walk's S can move it.
+    """
+    k = len(ells)
+    log_volume = k * math.log(t) - math.lgamma(k + 1) - math.fsum(map(math.log, ells))
+    return math.exp(min(log_volume, 709.0)) * (1.0 - 1e-9)
+
+
 def _stopping_states(
     ifs: WeightedIFS, t: float, cap: int,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
@@ -239,11 +254,16 @@ def _stopping_states(
     ratio product and its K child indices.  ResourceCapError is raised iff
     the states need more than ``cap`` entries, at the latest K states
     after the count passes it, so the tables stay near 8 * cap bytes
-    however many words the family has.
+    however many words the family has.  When K + 1 times _min_states
+    already exceeds ``cap``, it is raised before the walk starts.
     """
     _check_stopping_args(ifs, t, cap)
     ratios = [m.ratio for m in ifs.maps]
     ells = [-math.log(r) for r in ratios]
+    if (ifs.size + 1) * _min_states(ells, t) > cap:
+        raise ResourceCapError(
+            f"stopping walk for t={t!r} needs more than cap={cap} table entries: "
+            f"at least {_min_states(ells, t):.4g} states of {ifs.size + 1} entries each")
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     # Symbol counts -> [index in level, ratio product, tree nodes].
     frontier: dict[tuple[int, ...], list] = {(0,) * ifs.size: [0, 1.0, 1]}

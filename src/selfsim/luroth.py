@@ -21,6 +21,10 @@ from .diophantine import _check_digits, matveev_degree
 from .errors import InputError, ResourceCapError
 from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS, _levels_over_cap
 
+# CPython's default int-to-str digit limit, the figure's rule wherever the
+# interpreter sets none (Python 3.10, or a limit of 0).
+_DEFAULT_STR_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class LurothDigits:
@@ -133,17 +137,17 @@ def figure_intervals(
     The reduced denominators q1, q2 of an interval's ends satisfy
     q1 * q2 >= W, so the word repeating the largest digit d has an end
     with a denominator of at least (d * (d - 1)) ** (level / 2).  When that
-    bound has more digits than the interpreter's int-to-str limit, the
-    ends cannot be printed, and InputError is raised before any interval
-    is built.
+    bound has more digits than the interpreter's int-to-str limit (4300,
+    CPython's default, where the interpreter sets none), the ends cannot
+    be printed, and InputError is raised before any interval is built.
     """
     ds = _digit_set(digits)
     if level < 1:
         raise InputError(f"level must be at least 1, got {level!r}")
     if _levels_over_cap(len(ds), level, cap):
         raise ResourceCapError(f"level {level} needs {len(ds)}^{level} intervals, cap={cap}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and level * math.log10(ds[-1] * (ds[-1] - 1)) > 2 * limit + 1:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_STR_DIGITS
+    if level * math.log10(ds[-1] * (ds[-1] - 1)) > 2 * limit + 1:
         raise InputError(
             f"level {level} has an interval end with more than {limit} digits, "
             f"the int-to-str digit limit")

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selfsim.cli
 from oracles import csv_bytes
@@ -148,6 +150,17 @@ def test_fourier_scan_stops_at_cap(tmp_path, capsys):
     assert time.monotonic() - started < 1.0
 
 
+def test_oversized_stopping_walk_is_refused_before_it_starts(capsys):
+    # At least 1.40e7 states of 4 table entries each, 5.58e7 entries: past
+    # the default cap before the walk takes a step.
+    spec = ('{"maps":[["998/1000","0"],["1/1000","998/1000"],["1/1000","999/1000"]],'
+            '"weights":["1/3","1/3","1/3"]}')
+    started = time.monotonic()
+    code, _, err = run(["fourier-scan", "--spec", spec, "--t", "200"], capsys)
+    assert code == 3 and "at least 1.396e+07 states of 4 entries each" in err
+    assert time.monotonic() - started < 0.5
+
+
 def test_fourier_scan_at_t30_fits_the_default_cap(tmp_path, capsys):
     # 393 states of 3 entries each; the 109 271 145 words are only counted.
     out = tmp_path / "scan.csv"
@@ -217,6 +230,19 @@ def test_unprintable_figure_level_is_refused_before_its_loop(tmp_path, capsys, m
         code, stdout, err = run(base + extra, capsys)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and "digit limit" in err and stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_digit_rule_holds_without_an_interpreter_limit(tmp_path, capsys, monkeypatch):
+    # Python 3.10 has no limit and PYTHONINTMAXSTRDIGITS=0 turns it off;
+    # the figure then takes CPython's default of 4300 digits.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, stdout, err = run(["luroth-figure", "--spec", '{"luroth":[2]}', "--level", "100000"],
+                            capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "more than 4300 digits" in err and stdout == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -324,19 +350,57 @@ def test_dioph_scan_command(capsys):
     assert code == 0
 
 
+def _edge_floats():
+    """Floats where %.17g's digits or notation are hardest to get right."""
+    values = []
+    for k in range(-323, 309):
+        ten = float(f"1e{k}")
+        values += [ten, np.nextafter(ten, -math.inf), np.nextafter(ten, math.inf)]
+    values += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    # 1 + 2**-17 = 1.00000762939453125 is a tie at 17 digits; E = 16 and 17
+    # and -5 and -4 are where %g changes notation.
+    values += [1 + 2 ** -17, 1e16, 1e17, 9.999999999999999e16, 1e-5, 9.99999999999999e-5,
+               5e-324]
+    values = [float(v) for v in values]
+    return values + [-v for v in values]
+
+
 def test_csv_blocks_render_like_the_row_writer():
     header = ["a", "b", "c"]
     values = [[1.0, -0.0, math.inf], [-math.inf, math.nan, 0.1], [1e16, 5e-324, -2.5e-300],
               [1 / 3, 1e22, 123456789.0]]
-    text = "".join(selfsim.cli._csv_blocks(header, np.array(values)))
-    assert text.encode("utf-8") == csv_bytes(header, values)
+    edges = _edge_floats()
+    edges += [0.0] * (-len(edges) % 3)
+    values += np.array(edges).reshape(-1, 3).tolist()
+    data = b"".join(selfsim.cli._csv_blocks(header, np.array(values)))
+    assert data == csv_bytes(header, values)
     mixed = [(True, Fraction(2, 3), 7, "cylinder", 0.5, np.float64(0.1), np.int64(-3),
               np.bool_(True), -0.0, math.inf),
              (False, Fraction(-1, 4), 0, "x", math.nan, np.float64(-math.inf), np.int64(2 ** 40),
               np.bool_(False), 1e-310, -1 / 3)]
     header = [f"c{i}" for i in range(10)]
-    text = "".join(selfsim.cli._csv_blocks(header, mixed))
-    assert text.encode("utf-8") == csv_bytes(header, mixed)
+    data = b"".join(selfsim.cli._csv_blocks(header, mixed))
+    assert data == csv_bytes(header, mixed)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_float_csv_bytes_match_the_row_writer_on_raw_bit_patterns(patterns, seed):
+    # Any 64-bit pattern read as a float64: subnormals, infinities, nans
+    # with payloads and both zeros among the normal floats.  The drawn
+    # patterns sit at the start and across the first block boundary of a
+    # table that spans two blocks; seeded random patterns fill the rest.
+    rows = selfsim.cli._BLOCK_ROWS + 7
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=3 * rows, dtype=np.uint64)
+    drawn = np.array(patterns, dtype=np.uint64)
+    bits[:len(drawn)] = drawn
+    middle = 3 * selfsim.cli._BLOCK_ROWS - len(drawn) // 2
+    bits[middle:middle + len(drawn)] = drawn
+    table = bits.view(np.float64).reshape(rows, 3)
+    header = ["x", "y", "z"]
+    data = b"".join(selfsim.cli._csv_blocks(header, table))
+    assert data == csv_bytes(header, table.tolist())
 
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
@@ -344,7 +408,7 @@ def test_csv_cell_that_needs_quoting_is_refused(cell):
     # csv.writer would quote these cells; joined plainly they would give
     # other bytes, so the block is refused instead.
     with pytest.raises(InternalInvariantError, match="quoting"):
-        "".join(selfsim.cli._csv_blocks(["a", "b"], [(1, 2.0), (cell, 3)]))
+        b"".join(selfsim.cli._csv_blocks(["a", "b"], [(1, 2.0), (cell, 3)]))
 
 
 def test_command_parser_help_matches_the_full_tree(capsys):

@@ -20,7 +20,7 @@ from selfsim import (
     stopping_words,
     validate_disjointness,
 )
-from selfsim.ifs import DEFAULT_WORD_CAP
+from selfsim.ifs import DEFAULT_WORD_CAP, _min_states, _stopping_states
 from selfsim.luroth import luroth_natural_ifs
 
 
@@ -196,6 +196,20 @@ def test_stopping_family_cap_is_exact(luroth23, t):
         assert len(stopping_words(ifs, t, cap=size)) == size
         with pytest.raises(ResourceCapError, match=f"has {size} words"):
             stopping_words(ifs, t, cap=size - 1)
+
+
+NINETY = WeightedIFS((0, 1), (Similitude(0.9, 0.0), Similitude(0.05, 0.95)), (0.5, 0.5))
+
+
+def test_min_states_never_exceeds_the_walk(luroth23):
+    # The simplex volume bound that refuses a walk early is a lower bound
+    # on the states the walk counts.
+    cases = [(luroth23, float(t)) for t in np.linspace(0.25, 30.0, 120)]
+    cases += [(CANTOR, 18.0), (NINETY, 40.0)]
+    for ifs, t in cases:
+        levels, _ = _stopping_states(ifs, t, DEFAULT_WORD_CAP)
+        states = sum(len(ratios) for ratios, _ in levels)
+        assert _min_states([-math.log(m.ratio) for m in ifs.maps], t) <= states
 
 
 def test_single_map_family_is_one_word_at_any_depth():
