@@ -48,7 +48,7 @@ from .diophantine import (
     matveev_log_constant,
     weakly_diophantine_scan,
 )
-from .errors import InputError, InternalInvariantError, SelfsimError
+from .errors import InputError, InternalInvariantError, ResourceCapError, SelfsimError
 from .fourier import decay_fit, dyadic_scan
 from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS
 from .luroth import (
@@ -304,7 +304,7 @@ def _fourier_scan(args, spec):
     samples, envelope = dyadic_scan(
         spec.ifs, args.xi_max, args.points_per_octave, args.t, cap=args.cap)
     rows = [(s.xi, s.value.real, s.value.imag, abs(s.value), s.error_bound,
-             s.method, s.cost) for s in samples]
+             "cylinder", s.cost) for s in samples]
     env_rows = [(e.x, e.max_abs, e.error_bound) for e in envelope]
     summary = {
         "t": float(args.t),
@@ -389,6 +389,8 @@ def _luroth_encode(args, spec):
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--x: cannot parse {args.x!r} as a number") from exc
+    if args.n > args.cap:
+        raise ResourceCapError(f"luroth-encode needs up to {args.n} digits, cap={args.cap}")
     digits = luroth_encode(x, args.n)
     summary = {
         "digits": ",".join(str(d) for d in digits.digits),

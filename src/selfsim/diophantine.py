@@ -12,7 +12,6 @@ the integer-digit applications.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,13 +38,10 @@ HUGE_QUOTIENT = 10 ** 8
 ATOM_MERGE_TOL = 1e-12
 
 # A numpy exponent l*log(b) + log(gap) at or above this has a libm value
-# of at least 709, so _scaled_gap gives inf.  Near the cut both terms are
+# of at least 709, so the scaled gap is inf.  Near the cut both terms are
 # below about 1500 in size (a positive gap is at least 5e-324), where the
 # last-bit differences of the two logs move the exponent by far less than 1.
 _SURELY_INF = 710.0
-
-# Rows per pass of _scaled_gap over the scan, which bounds its Python floats.
-_SCALED_BLOCK = 1 << 15
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
@@ -96,9 +92,15 @@ def auxiliary_measure(ifs: WeightedIFS) -> AuxiliaryMeasure:
     return AuxiliaryMeasure(tuple(merged), sigma)
 
 
-def laplace_transform(lam: AuxiliaryMeasure, z: complex) -> complex:
-    """Sum of mass * exp(-z * location) over the atoms."""
-    return complex(sum(m * cmath.exp(-z * loc) for loc, m in lam.atoms))
+def laplace_transform(lam: AuxiliaryMeasure, z: complex | np.ndarray) -> complex | np.ndarray:
+    """Sum of mass * exp(-z * location) over the atoms.
+
+    ``z`` is a point, which gives a complex, or an array of points, which
+    gives a complex array of its shape.
+    """
+    terms = np.multiply.outer(-np.asarray(z, dtype=complex), lam.locations)
+    values = np.exp(terms, out=terms) @ np.array(lam.masses)
+    return complex(values) if np.ndim(z) == 0 else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +108,10 @@ class DiophantineReport:
     """Scan of the resonance gap b -> |1 - L(i*b)| against the power b^l.
 
     ``rows`` is a read-only (n, 3) float array with columns b, gap and
-    scaled = b^l * gap, b ascending.  ``log_c`` is a Baker-type constant
-    when one applies, else nan.
+    scaled = b^l * gap, b ascending.
     """
 
     degree_l: float
-    log_c: float
     rows: np.ndarray
     lattice: bool
 
@@ -124,31 +124,22 @@ class DiophantineReport:
         return float(self.rows[np.argmin(self.rows[:, 1]), 0])
 
 
-def _scaled_gap(b: float, gap: float, l: float) -> float:
-    # b^l overflows floats long before the product does not matter, so the
-    # product is assembled in log space.
-    if gap == 0.0:
-        return 0.0
-    e = l * math.log(b) + math.log(gap)
-    if e >= 709.0:
-        return math.inf
-    return math.exp(e)
-
-
 def _scaled_column(bs: np.ndarray, gaps: np.ndarray, l: float) -> np.ndarray:
-    """_scaled_gap of every (b, gap) pair, bit for bit, as a float array.
+    """b^l * gap of every (b, gap) pair, as a float array.
 
-    numpy's log may differ from libm's in the last bit, so it only picks
-    the rows that are surely inf; the others take _scaled_gap itself, a
-    block of rows at a time.
+    b^l overflows floats long before the product does not matter, so the
+    product is exp(l*log(b) + log(gap)) with libm's log and exp: inf from
+    an exponent of 709 up, and 0 for a zero gap.  numpy's log may differ
+    from libm's in the last bit, so it only picks the rows that are surely
+    inf.
     """
-    scaled = np.full(len(bs), math.inf)
+    scaled = np.where(gaps == 0.0, 0.0, math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.flatnonzero(~(l * np.log(bs) + np.log(gaps) >= _SURELY_INF))
-    for start in range(0, len(rest), _SCALED_BLOCK):
-        block = rest[start:start + _SCALED_BLOCK]
-        scaled[block] = [_scaled_gap(b, g, l)
-                         for b, g in zip(bs[block].tolist(), gaps[block].tolist())]
+        rest = np.flatnonzero(~(l * np.log(bs) + np.log(gaps) >= _SURELY_INF) & (gaps != 0.0))
+    e = (l * np.fromiter(map(math.log, bs[rest]), float, len(rest))
+         + np.fromiter(map(math.log, gaps[rest]), float, len(rest)))
+    below = ~(e >= 709.0)
+    scaled[rest[below]] = np.fromiter(map(math.exp, e[below]), float, int(below.sum()))
     return scaled
 
 
@@ -167,8 +158,9 @@ def weakly_diophantine_scan(
     atom locations share a common multiple of 2*pi/b, the lattice case,
     which is also reported.  The candidate count, grid plus five per
     resonance, is checked against ``cap`` before any array is built.
-    The rows come back as one read-only (n, 3) float array
-    [b, gap, scaled], whose scaled column is _scaled_gap of each row.
+    The gaps are |1 - laplace_transform| at i*b, and the rows come back
+    as one read-only (n, 3) float array [b, gap, scaled], whose scaled
+    column is _scaled_column's b^l * gap.
     """
     if not (l > 0.0 and math.isfinite(l)):
         raise InputError(f"power must be positive and finite, got {l!r}")
@@ -194,18 +186,10 @@ def weakly_diophantine_scan(
         refined = (centers[:, None] + offsets[None, :]).ravel()
         candidates.append(refined[(refined >= 1.0) & (refined <= b_max)])
     bs = np.unique(np.concatenate(candidates))
-    locs = np.array(lam.locations)
-    masses = np.array(lam.masses)
-    transform = np.exp(-1j * np.outer(bs, locs)) @ masses
-    gaps = np.abs(1.0 - transform)
+    gaps = np.abs(1.0 - laplace_transform(lam, 1j * bs))
     rows = np.column_stack((bs, gaps, _scaled_column(bs, gaps, l)))
     rows.flags.writeable = False
-    return DiophantineReport(
-        degree_l=float(l),
-        log_c=math.nan,
-        rows=rows,
-        lattice=lattice_test(lam),
-    )
+    return DiophantineReport(degree_l=float(l), rows=rows, lattice=lattice_test(lam))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 # stopping_words is unused here but stays importable under this name:
 # bench/child.py wraps selfsim.fourier.stopping_words when tracing, and
 # `--trace 1` fails with AttributeError without it.
@@ -36,7 +36,6 @@ class SpectralSample:
     xi: float
     value: complex
     error_bound: float
-    method: str
     cost: int
 
 
@@ -124,7 +123,6 @@ def mu_hat_cylinder(
         xi=float(xi),
         value=complex(values[0]),
         error_bound=math.pi * abs(xi) * math.exp(-t),
-        method="cylinder",
         cost=words,
     )
 
@@ -166,7 +164,9 @@ def dyadic_scan(
     [X, 2X) the grid points are X * 2^(j / points_per_octave).  Each block
     reports its maximum modulus and the largest per-sample error bound.
     Every frequency is summed by one fold over the stopping states.
-    ``xi_max`` must keep the phases 2*pi*xi*x finite.
+    ``xi_max`` must keep the phases 2*pi*xi*x finite, and the grid's
+    blocks times ``points_per_octave``, an upper bound on its points, is
+    checked against ``cap`` before any block is built.
     """
     if not (xi_max > 1.0 and math.isfinite(TWO_PI * xi_max)):
         raise InputError(
@@ -174,15 +174,17 @@ def dyadic_scan(
     if points_per_octave < 1:
         raise InputError(
             f"need at least one point per octave, got {points_per_octave!r}")
+    octaves = 0
+    while 2.0 ** octaves < xi_max:
+        octaves += 1
+    count = octaves * points_per_octave
+    if count > cap:
+        raise ResourceCapError(f"frequency grid needs up to {count} points, cap={cap}")
+    steps = 2.0 ** (np.arange(points_per_octave) / points_per_octave)
     blocks: list[tuple[float, np.ndarray]] = []
-    k = 0
-    while 2.0 ** k < xi_max:
-        x = 2.0 ** k
-        xis = x * 2.0 ** (np.arange(points_per_octave) / points_per_octave)
-        xis = xis[xis <= xi_max]
-        if len(xis):
-            blocks.append((x, xis))
-        k += 1
+    for k in range(octaves):
+        xis = 2.0 ** k * steps
+        blocks.append((2.0 ** k, xis[xis <= xi_max]))
     values, words = _family_sums(
         ifs, t, np.concatenate([xis for _, xis in blocks]), cap)
     splits = np.cumsum([len(xis) for _, xis in blocks])[:-1]
@@ -191,7 +193,7 @@ def dyadic_scan(
     for (x, xis), vals in zip(blocks, np.split(values, splits)):
         errs = math.pi * np.abs(xis) * math.exp(-t)
         block: list[SpectralSample] = [
-            SpectralSample(float(xi), complex(v), float(e), "cylinder", words)
+            SpectralSample(float(xi), complex(v), float(e), words)
             for xi, v, e in zip(xis, vals, errs)
         ]
         samples.extend(block)

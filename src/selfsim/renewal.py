@@ -24,7 +24,7 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -222,15 +222,14 @@ def _run_chunks(
     seed: int,
     n_samples: int,
     threads: int | None,
-    consume: Callable[[np.ndarray], None],
-) -> None:
-    """Pass the overshoots of each chunk to ``consume``, in chunk order.
+) -> Iterator[np.ndarray]:
+    """Yield the overshoots of each chunk, in chunk order.
 
     Up to ``threads`` chunks, and no more than the available CPUs, are
     sampled at once, each on a thread pool worker with its own slot of
-    work arrays; ``consume`` runs on the calling thread, and chunk
-    i + workers is started only once chunk i has been consumed and its
-    slot is free.  Each chunk's stream depends on (seed, chunk index)
+    work arrays; the caller consumes each chunk on its own thread, and
+    chunk i + workers is started only once chunk i has been consumed and
+    its slot is free.  Each chunk's stream depends on (seed, chunk index)
     alone, so the overshoots do not depend on the worker count.
     """
     counts = [min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
@@ -249,7 +248,7 @@ def _run_chunks(
     with ThreadPoolExecutor(workers) as pool:
         pending = deque(submit(index) for index in range(workers))
         for index in range(len(counts)):
-            consume(pending.popleft().result())
+            yield pending.popleft().result()
             if index + workers < len(counts):
                 pending.append(submit(index + workers))
 
@@ -420,14 +419,14 @@ def renewal_expectation_mc(
     sums_re: list[float] = []
     sums_im: list[float] = []
     sums_sq: list[float] = []
-
-    def add_chunk(z: np.ndarray) -> None:
+    for z in _run_chunks(lam, t, seed, n_samples, threads):
         vals = _apply_observable(g, z)
         sums_re.append(float(np.sum(vals.real)))
         sums_im.append(float(np.sum(vals.imag)))
         sums_sq.append(float(np.sum(vals.real ** 2 + vals.imag ** 2)))
-
-    _run_chunks(lam, t, seed, n_samples, threads, add_chunk)
+        # Freed before the next chunk is sampled, which would otherwise
+        # hold one more chunk and its values at the peak.
+        del z, vals
     mean = complex(math.fsum(sums_re) / n_samples, math.fsum(sums_im) / n_samples)
     variance = max(0.0, math.fsum(sums_sq) / n_samples - abs(mean) ** 2)
     stderr = math.sqrt(variance / n_samples)

@@ -8,11 +8,12 @@ and cosine integrals for the stationary overshoot limit, exact
 Fraction arithmetic for series values, and a sum of multinomial
 coefficients over count vectors for stopping-family sizes.  The overshoot
 sampler's panel stream is restated as a loop over walkers and their
-steps.  Five oracles are earlier versions of library code kept as
+steps.  Six oracles are earlier versions of library code kept as
 references: compose_word, which composes a word in orbit order, the
 row-by-row diagonal sweep, the regularity scan over every symbol
-multiset, the Fraction refinement of Luroth cylinder intervals, and the
-CSV rendering of a table row by row through csv.writer.
+multiset, the Fraction refinement of Luroth cylinder intervals, the
+CSV rendering of a table row by row through csv.writer, and the scaled
+resonance gap of one row.
 """
 
 from __future__ import annotations
@@ -325,3 +326,17 @@ def csv_bytes(header, rows) -> bytes:
     for row in rows:
         writer.writerow([fmt(v) for v in row])
     return buf.getvalue().encode("utf-8")
+
+
+def scaled_gap(b: float, gap: float, l: float) -> float:
+    """b^l * gap of one scan row, as the scan computed it row by row.
+
+    b^l overflows floats long before the product does not matter, so the
+    product is assembled in log space with libm's log and exp.
+    """
+    if gap == 0.0:
+        return 0.0
+    e = l * math.log(b) + math.log(gap)
+    if e >= 709.0:
+        return math.inf
+    return math.exp(e)

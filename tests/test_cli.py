@@ -161,6 +161,20 @@ def test_oversized_stopping_walk_is_refused_before_it_starts(capsys):
     assert time.monotonic() - started < 0.5
 
 
+@pytest.mark.parametrize("args, message", [
+    # 20 octaves below 1e6 of 100 000 points each, counted before any block.
+    (["fourier-scan", "--spec", LUROTH_SPEC, "--t", "4", "--xi-max", "1e6",
+      "--points-per-octave", "100000"], "frequency grid needs up to 2000000 points, cap=100"),
+    (["luroth-encode", "--x", "2/3", "--n", "3000000"],
+     "luroth-encode needs up to 3000000 digits, cap=100"),
+])
+def test_grid_and_digits_hit_the_cap_before_they_are_built(args, message, capsys):
+    started = time.monotonic()
+    code, _, err = run(args + ["--cap", "100"], capsys)
+    assert code == 3 and message in err
+    assert time.monotonic() - started < 0.5
+
+
 def test_fourier_scan_at_t30_fits_the_default_cap(tmp_path, capsys):
     # 393 states of 3 entries each; the 109 271 145 words are only counted.
     out = tmp_path / "scan.csv"

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from oracles import scaled_gap
 from selfsim import (
     DiophantineReport,
     InputError,
@@ -21,8 +23,7 @@ from selfsim import (
     perfect_power_free,
     weakly_diophantine_scan,
 )
-from selfsim import diophantine
-from selfsim.diophantine import _scaled_column, _scaled_gap
+from selfsim.diophantine import _scaled_column
 from selfsim.luroth import luroth_natural_ifs
 
 
@@ -69,6 +70,30 @@ def test_laplace_transform_normalization(luroth_lambda):
     assert numeric == pytest.approx(-luroth_lambda.sigma, abs=1e-6)
 
 
+@pytest.mark.parametrize("digits", [(2, 3), (2, 3, 5, 7)])
+def test_laplace_transform_off_the_axis(digits):
+    lam = auxiliary_measure(luroth_natural_ifs(digits)[0])
+    rng = np.random.default_rng(sum(digits))
+    z = rng.uniform(-2.0, 2.0, 3000) + 1j * rng.uniform(-1e4, 1e4, 3000)
+    values = laplace_transform(lam, z)
+    assert values.shape == z.shape and values.dtype == complex
+    # Each term's phase -z*l carries a relative error of a few u, which
+    # becomes an absolute error of |z|*l times the term's modulus.
+    scale = 4.0 * 2.0 ** -53 * (np.abs(z) * lam.max_location + 1.0) * sum(
+        m * np.exp(-z.real * loc) for loc, m in lam.atoms)
+    with mpmath.workdps(40):
+        exact = [complex(mpmath.fsum(mpmath.mpf(m) * mpmath.exp(-mpmath.mpc(p) * mpmath.mpf(loc))
+                                     for loc, m in lam.atoms)) for p in z.tolist()]
+    assert np.all(np.abs(values - np.array(exact)) <= scale)
+    points = np.array([laplace_transform(lam, p) for p in z.tolist()])
+    assert np.all(np.abs(values - points) <= scale)
+    # The scan's gaps are this evaluator's on the imaginary axis, bit for bit.
+    report = weakly_diophantine_scan(lam, 2.0, 500.0, 256)
+    bs = report.rows[:, 0]
+    gaps = np.abs(1.0 - laplace_transform(lam, 1j * bs))
+    assert np.array_equal(report.rows[:, 1].view(np.uint64), gaps.view(np.uint64))
+
+
 def test_scan_flags_lattice_resonance(lattice_lambda):
     report = weakly_diophantine_scan(lattice_lambda, 2.0, 200.0, 512)
     assert report.lattice is True
@@ -109,8 +134,8 @@ def test_scan_cap_counts_candidate_rows(luroth_lambda):
 
 
 def scaled_bits(bs, gaps, l):
-    """The scaled column row by row through _scaled_gap, as raw float bits."""
-    return np.array([_scaled_gap(b, g, l) for b, g in zip(bs, gaps)]).view(np.uint64)
+    """The scaled column row by row through the scalar rule, as raw float bits."""
+    return np.array([scaled_gap(b, g, l) for b, g in zip(bs, gaps)]).view(np.uint64)
 
 
 @pytest.mark.parametrize("l,b_max", [(2.0 * matveev_degree(2, 3) - 2.0, 2e4), (2.0, 2e4)],
@@ -130,17 +155,15 @@ def test_scan_rows_are_one_array(luroth_lambda, l, b_max):
 
 def test_scan_argmin_takes_the_first_minimum():
     rows = np.array([[1.0, 0.5, 0.0], [2.0, 0.25, 0.0], [3.0, 0.25, 0.0]])
-    report = DiophantineReport(2.0, math.nan, rows, False)
+    report = DiophantineReport(2.0, rows, False)
     assert report.scan_min == 0.25 and report.scan_argmin == 2.0
 
 
-def test_scaled_column_is_scaled_gap_bit_for_bit(monkeypatch):
-    # Small blocks, so the rows numpy leaves to _scaled_gap span several.
-    monkeypatch.setattr(diophantine, "_SCALED_BLOCK", 7)
+def test_scaled_column_is_scaled_gap_bit_for_bit():
     l = 1000.0
     bs, gaps = [], []
     # One-ulp steps of b around exp(0.709) and exp(0.710) move the exponent
-    # 1000 * log(b) across 709, where _scaled_gap turns inf, and across the
+    # 1000 * log(b) across 709, where the scaled gap turns inf, and across the
     # cut above which numpy alone decides the row.
     for center in (math.exp(0.709), math.exp(0.710)):
         b = center
@@ -159,7 +182,7 @@ def test_scaled_column_is_scaled_gap_bit_for_bit(monkeypatch):
     assert finite.max() > math.exp(708.9999)
     # On some numpy builds np.log and math.log of this b differ in the last
     # bit, and this l puts the exponent at 709.0 by one and just below by
-    # the other: only _scaled_gap may decide such a row.
+    # the other: only libm's log may decide such a row.
     b, l = 64818.84011583974, 63.992914631642435
     scaled = _scaled_column(np.array([b]), np.array([1.0]), l)
     assert np.array_equal(scaled.view(np.uint64), scaled_bits([b], [1.0], l))

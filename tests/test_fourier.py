@@ -88,7 +88,6 @@ def test_mu_hat_at_zero_is_total_mass(luroth23):
     sample = mu_hat_cylinder(luroth23, 0.0, 10.0)
     assert sample.value == pytest.approx(1.0 + 0.0j, abs=1e-12)
     assert sample.error_bound == 0.0
-    assert sample.method == "cylinder"
 
 
 def test_mu_hat_matches_cantor_product(cantor):
