@@ -136,10 +136,13 @@ def _scaled_column(bs: np.ndarray, gaps: np.ndarray, l: float) -> np.ndarray:
     scaled = np.where(gaps == 0.0, 0.0, math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         rest = np.flatnonzero(~(l * np.log(bs) + np.log(gaps) >= _SURELY_INF) & (gaps != 0.0))
-    e = (l * np.fromiter(map(math.log, bs[rest]), float, len(rest))
-         + np.fromiter(map(math.log, gaps[rest]), float, len(rest)))
+    # A memoryview yields Python floats, which libm takes without a numpy
+    # scalar per row.
+    e = (l * np.fromiter(map(math.log, memoryview(bs[rest])), float, len(rest))
+         + np.fromiter(map(math.log, memoryview(gaps[rest])), float, len(rest)))
     below = ~(e >= 709.0)
-    scaled[rest[below]] = np.fromiter(map(math.exp, e[below]), float, int(below.sum()))
+    scaled[rest[below]] = np.fromiter(map(math.exp, memoryview(e[below])), float,
+                                      int(below.sum()))
     return scaled
 
 

@@ -7,11 +7,13 @@ E_inf = integral(g * survival) / integral(survival) over the positive
 half-line.  This module samples overshoots reproducibly, drawing steps
 panel by panel for the walkers still below t, and estimates the
 finite-level expectation E_t = E[g(overshoot at level t)] by Monte Carlo.
-Chunks of walkers are sampled on up to one thread each and folded in
-chunk order on the calling thread, so no value depends on the thread
-count.  E_inf comes from an adaptive 24-point Gauss-Legendre rule built
-from numpy arithmetic at import.  E_t and E_inf agree only as
-t -> infinity, and not monotonically: for steps whose Laplace transform L has 1 - L(z) with
+Each chunk of walkers draws from its own PCG64DXSM stream, seeded by
+SeedSequence(seed mod 2^64, spawn_key=(chunk index,)); chunks are
+sampled on up to one thread each and folded in chunk order on the
+calling thread, so no value depends on the thread count.  E_inf comes
+from an adaptive 24-point Gauss-Legendre rule built from numpy
+arithmetic at import.  E_t and E_inf agree only as t -> infinity, and
+not monotonically: for steps whose Laplace transform L has 1 - L(z) with
 zeros near the imaginary axis, |E_t - E_inf| can stay at several
 hundredths for t in the tens and grow again later.  Averaged over levels
 in (0, T], E_t is within 2 * max|g| * max step / T of E_inf.
@@ -139,13 +141,16 @@ def _chunk_overshoots(
 ) -> np.ndarray:
     """Overshoots of one chunk of walkers, keyed by (seed, chunk index).
 
-    Walkers below t take _PANEL steps per ``rng.random((_PANEL, live))``
-    draw, entry [j, i] being step j of live walker i, so none draws past
-    the panel in which it crosses.  u reads as the atom that counts the
-    cumulative masses <= u, the last one excluded.  Every array but the
-    small index lists of each panel lives in ``slot`` and ``out``, so a
-    worker thread allocates next to nothing.  Indices are always in
-    range; mode="clip" only keeps ``take`` from buffering its output.
+    The chunk's uniforms come from a PCG64DXSM generator seeded by
+    SeedSequence(seed mod 2^64, spawn_key=(chunk_index,)), numpy's
+    construction for independent parallel streams.  Walkers below t take
+    _PANEL steps per ``rng.random((_PANEL, live))`` draw, entry [j, i]
+    being step j of live walker i, so none draws past the panel in which
+    it crosses.  u reads as the atom that counts the cumulative masses
+    <= u, the last one excluded.  Every array but the small index lists
+    of each panel lives in ``slot`` and ``out``, so a worker thread
+    allocates next to nothing.  Indices are always in range; mode="clip"
+    only keeps ``take`` from buffering its output.
     """
     slot = _Slot(count) if slot is None else slot
     out = np.empty(count) if out is None else out
@@ -154,8 +159,8 @@ def _chunk_overshoots(
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
     bounds = cdf[:-1]
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(chunk_index,))))
     live, pos = slot.index[:count], slot.pos[0][:count]
     pos.fill(0.0)
     flip = 1
@@ -256,7 +261,7 @@ def _run_chunks(
 def _apply_observable(g, z: np.ndarray) -> np.ndarray:
     if hasattr(g, "apply_array"):
         return np.asarray(g.apply_array(z), dtype=complex)
-    return np.array([complex(g(float(v))) for v in z], dtype=complex)
+    return np.array([complex(g(v)) for v in z.tolist()], dtype=complex)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

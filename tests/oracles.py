@@ -120,19 +120,20 @@ def panel_overshoots(lam, t: float, seed: int, chunk_index: int, count: int,
                      panel: int) -> np.ndarray:
     """Overshoots of one sample chunk, walked one walker and one step at a time.
 
-    The chunk's Philox stream, keyed by (seed, chunk index), yields one
-    ``random((panel, live))`` block per round; column i holds the next
-    ``panel`` steps of the i-th walker still below t.  A uniform u picks
-    the atom bisect_right(cumulative masses but the last, u), and each
-    walker adds its steps one by one until its position reaches t.
+    The chunk's PCG64DXSM stream, seeded by SeedSequence(seed mod 2^64,
+    spawn_key=(chunk_index,)), yields one ``random((panel, live))`` block
+    per round; column i holds the next ``panel`` steps of the i-th walker
+    still below t.  A uniform u picks the atom bisect_right(cumulative
+    masses but the last, u), and each walker adds its steps one by one
+    until its position reaches t.
     """
     locs = [float(v) for v in lam.locations]
     probs = np.array(lam.masses)
     cdf = np.cumsum(probs / probs.sum())
     cdf /= cdf[-1]
     bounds = cdf[:-1].tolist()
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(chunk_index,))))
     pos = [0.0] * count
     out = np.empty(count)
     live = list(range(count))

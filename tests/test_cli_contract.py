@@ -118,12 +118,12 @@ EXPECTED = {
                 '97edf64ce8c62aa7171b2daa01545395efddaab57f9d75307812a9e8e922ab42',
         }),
     'renewal': (
-        'renewal t=10 mc_re=0.47296336577331999 mc_im=-0.78605938788964691'
-        ' stderr=0.0088998958799225963 limit_re=0.42179233029839963'
+        'renewal t=10 mc_re=0.48717730859880692 mc_im=-0.77979414152954984'
+        ' stderr=0.0087914551361710069 limit_re=0.42179233029839963'
         ' limit_im=-0.79842214704843428 n_samples=2000 lattice=false',
         {
             'job.csv':
-                'b215f5e7c353c2910abb940f59aa95cee0d609c49d51a4b48d258551b4ade274',
+                'bdc69ceba52fe3a0117e80b167451c035387434126a84e3ccde6403d38802901',
         }),
     'weights': (
         'weights dim=0.63092975357145731 weights=0.5,0.5',

@@ -249,6 +249,30 @@ def test_chunk_overshoots_match_choice_sampler_with_many_atoms():
     assert np.array_equal(got, panel_overshoots(lam, 20.0, 3, 1, 999, _PANEL))
 
 
+# The first uniforms of two chunk streams, keyed by (seed mod 2^64, chunk
+# index): a numpy release whose SeedSequence, PCG64DXSM or Generator.random
+# gave other values would move every Monte Carlo result.
+STREAM_PINS = {
+    (11, 0): [0.5406396312784714, 0.8046078417168928, 0.8455584997189253,
+              0.45892312594785556, 0.7632970122638721, 0.5335556937054148,
+              0.4710237412715381, 0.3589209066271227],
+    (2 ** 64 - 5, 3): [0.2650972413022509, 0.8036454286829701, 0.8235130500887201,
+                       0.39739863241418183, 0.30272795146372, 0.9718355927396215,
+                       0.4394648029596798, 0.8377125352412508],
+}
+
+
+def test_chunk_stream_is_pinned(luroth_lambda):
+    for (key, chunk_index), want in STREAM_PINS.items():
+        rng = np.random.Generator(np.random.PCG64DXSM(
+            np.random.SeedSequence(key, spawn_key=(chunk_index,))))
+        assert rng.random(8).tolist() == want, (key, chunk_index)
+    # The seed -5 is the key 2^64 - 5.
+    assert np.array_equal(_chunk_overshoots(luroth_lambda, 30.0, -5, 3, 999),
+                          _chunk_overshoots(luroth_lambda, 30.0, 2 ** 64 - 5, 3, 999))
+    assert sample_overshoot(luroth_lambda, 30.0, seed=11) == 1.4928562310276554
+
+
 # The reference walks one step at a time in Python, so counts stay small.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.05, 40.0),
@@ -335,6 +359,20 @@ def test_observable_runs_on_the_calling_thread_in_chunk_order(luroth_lambda):
     # Slots are reused across chunks: each chunk still equals a fresh one.
     for index, (z, count) in enumerate(zip(g.chunks, counts)):
         assert np.array_equal(z, _chunk_overshoots(luroth_lambda, 20.0, 4, index, count))
+
+
+def test_renewal_mc_of_a_plain_callable(luroth_lambda, monkeypatch):
+    # Without apply_array the observable is called once per overshoot; it
+    # equals the phase observable point by point, so the estimates agree.
+    phase = phase_test_function(0.3)
+    samples = 2 * _CHUNK + 1234
+    want = renewal_expectation_mc(luroth_lambda, phase, 20.0, samples, seed=4)
+    monkeypatch.setattr(selfsim.renewal, "_available_cpus", lambda: 2)
+    results = [renewal_expectation_mc(luroth_lambda, lambda z: phase(z), 20.0, samples,
+                                      seed=4, threads=n) for n in (1, 2)]
+    assert results[0] == results[1]
+    assert abs(results[0].mc_estimate - want.mc_estimate) <= 1e-12
+    assert results[0].limit_value == want.limit_value
 
 
 def test_worker_exception_reaches_the_caller(luroth_lambda, monkeypatch):
