@@ -475,12 +475,17 @@ def _flag(*names, **kwargs):
     return names, kwargs
 
 
+# Only the commands that bound what they build take --cap.
+_CAP = _flag("--cap", type=int, default=DEFAULT_WORD_CAP,
+             help="enumeration cap (default %(default)s)")
+
 _SCAN_FLAGS = (
     _flag("--t", type=float, default=12.0, help="stopping time (default %(default)s)"),
     _flag("--xi-max", type=float, default=1e4,
           help="largest frequency (default %(default)s)"),
     _flag("--points-per-octave", type=int, default=8,
           help="grid points per dyadic block (default %(default)s)"),
+    _CAP,
 )
 
 COMMANDS = {
@@ -491,19 +496,22 @@ COMMANDS = {
     "decay-fit": Command("fit the envelope decay exponent", "any", _decay_fit, _SCAN_FLAGS),
     "regularity": Command("cylinder mass exponent scan", "any", _regularity, (
         _flag("--depth", type=int, default=8, help="scan depth (default %(default)s)"),
+        _CAP,
     )),
     "diagonal": Command("product-measure mass near the diagonal", "any", _diagonal, (
         _flag("--delta", type=float, required=True, help="strip half-width"),
         _flag("--depth", type=int, default=6, help="cylinder depth (default %(default)s)"),
+        _CAP,
     )),
     "dioph-scan": Command("resonance gap scan of the log spectrum", "any", _dioph_scan, (
         _flag("--l", type=float, default=None,
-              help="power for the scaled gap; defaults to the two-digit "
-                   "degree for luroth specs"),
+              help="power for the scaled gap; for a luroth spec it defaults to "
+                   "2*l - 2, l the matveev degree of its two smallest digits"),
         _flag("--b-max", type=float, default=1e4,
               help="largest frequency (default %(default)s)"),
         _flag("--grid", type=int, default=2048,
               help="uniform grid size before refinement (default %(default)s)"),
+        _CAP,
     )),
     "matveev": Command("two-logarithm degree and constant", None, _matveev, (
         _flag("--a1", type=int, required=True),
@@ -512,6 +520,7 @@ COMMANDS = {
     "luroth-encode": Command("Luroth digits of a number", None, _luroth_encode, (
         _flag("--x", required=True, help="number in (0,1], fraction or decimal string"),
         _flag("--n", type=int, default=30, help="digit count (default %(default)s)"),
+        _CAP,
     )),
     "luroth-decode": Command("number with the given Luroth digits", None, _luroth_decode, (
         _flag("--digits", required=True, help="comma-separated digits, each >= 2"),
@@ -519,6 +528,7 @@ COMMANDS = {
     "luroth-figure": Command("exact retained intervals at a level", "luroth", _luroth_figure, (
         _flag("--level", type=int, default=3,
               help="construction level (default %(default)s)"),
+        _CAP,
     )),
     "beta": Command("closed-form decay exponents for a digit set", "luroth", _beta),
     "renewal": Command("overshoot expectation against its limit", "any", _renewal, (
@@ -527,6 +537,8 @@ COMMANDS = {
               help="Monte Carlo sample count (default %(default)s)"),
         _flag("--s", type=float, default=0.3,
               help="phase strength of the test observable (default %(default)s)"),
+        _flag("--seed", type=int, default=0, help="random seed (default %(default)s)"),
+        _CAP,
     )),
 }
 
@@ -536,14 +548,10 @@ def _add_flags(parser: argparse.ArgumentParser, command: Command) -> None:
     if command.spec is not None:
         parser.add_argument("--spec", help="path to a JSON job spec, or an inline JSON object")
     parser.add_argument("--out", help="output CSV path; a JSON sidecar is written next to it")
-    parser.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
-                        help="enumeration cap (default %(default)s)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads, at least 1; renewal samples that many "
                              "chunks at once, at most the available CPUs (the "
                              "default), and no command's output depends on it")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed (default %(default)s)")
     for names, kwargs in command.flags:
         parser.add_argument(*names, **kwargs)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .ifs import WeightedIFS, validate_disjointness
+from .ifs import WeightedIFS, _require_disjoint
 
 # The solver refuses to return a root whose residual exceeds this.
 MORAN_RESIDUAL_TOL = 1e-14
@@ -45,11 +45,7 @@ def solve_moran(ifs: WeightedIFS) -> MoranSolution:
     level-1 length to stay at most 1.  A single-map system has dimension 0
     by convention.  The returned residual is |sum(r^s*) - 1|.
     """
-    report = validate_disjointness(ifs)
-    if not report:
-        pairs = ", ".join(f"{a!r}/{b!r} by {d:.3g}" for a, b, d in report.overlaps)
-        raise PreconditionError(
-            f"disjointness precondition violated, level-1 intervals overlap: {pairs}")
+    _require_disjoint(ifs)
     if moran_value(ifs, 1.0) > 1.0 + 1e-12:
         raise PreconditionError(
             f"total level-1 length {moran_value(ifs, 1.0)!r} exceeds 1")

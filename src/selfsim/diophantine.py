@@ -43,8 +43,6 @@ ATOM_MERGE_TOL = 1e-12
 # last-bit differences of the two logs move the exponent by far less than 1.
 _SURELY_INF = 710.0
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-
 
 @dataclass(frozen=True)
 class AuxiliaryMeasure:
@@ -327,15 +325,19 @@ def _validate_digit_pair(a1: int, a2: int) -> None:
         raise InputError(f"digits must be distinct, got {a1!r} twice")
 
 
+def _log_weights(a1: int, a2: int) -> tuple[float, float]:
+    """W_i = log(a_i*(a_i-1)) of a checked pair of distinct digits."""
+    _validate_digit_pair(a1, a2)
+    return math.log(a1 * (a1 - 1)), math.log(a2 * (a2 - 1))
+
+
 def matveev_degree(a1: int, a2: int) -> float:
     """Effective power from the two-logarithm lower bound for digits a1, a2.
 
     The value is 387072 * e^3 * (15.8 + 5.5*log 2) * log(a1*(a1-1)) *
     log(a2*(a2-1)) + 1; it exceeds 2 for every admissible pair.
     """
-    _validate_digit_pair(a1, a2)
-    w1 = math.log(a1 * (a1 - 1))
-    w2 = math.log(a2 * (a2 - 1))
+    w1, w2 = _log_weights(a1, a2)
     return 387072.0 * math.exp(3.0) * (15.8 + 5.5 * math.log(2.0)) * w1 * w2 + 1.0
 
 
@@ -347,41 +349,17 @@ def matveev_log_constant(a1: int, a2: int) -> float:
     follows the inner ratio, so the result is a large negative number when
     3*e*W1 exceeds 2*W2 and a large positive one otherwise.
     """
-    _validate_digit_pair(a1, a2)
-    w1 = math.log(a1 * (a1 - 1))
-    w2 = math.log(a2 * (a2 - 1))
+    w1, w2 = _log_weights(a1, a2)
     degree = matveev_degree(a1, a2)
     return -math.log(w2) - (degree - 1.0) * math.log(3.0 * math.e * w1 / (2.0 * w2))
 
 
-def _integer_root(m: int, k: int) -> int:
-    # Round the float estimate, then fix it up exactly.
-    r = round(m ** (1.0 / k))
-    while r > 1 and r ** k > m:
-        r -= 1
-    while (r + 1) ** k <= m:
-        r += 1
-    return r
-
-
-def _is_perfect_power(m: int) -> bool:
-    if m < 4:
-        return False
-    for k in _SMALL_PRIMES:
-        if k > m.bit_length():
-            break
-        r = _integer_root(m, k)
-        if r >= 2 and r ** k == m:
-            return True
-    return False
-
-
 def perfect_power_free(a: int) -> bool:
-    """True when a*(a-1) is not a perfect power n^m with m >= 2.
+    """True when a*(a-1) is not a perfect power n^m with m >= 2, which is always.
 
-    Prime exponents suffice: any proper power is a prime-exponent power.
-    a*(a-1) sits strictly between (a-1)^2 and a^2, so squares never occur;
-    the check still covers exponent 2 for uniformity.
+    a and a-1 are coprime, so a*(a-1) = n^m would make each of them an
+    m-th power itself; but two positive m-th powers never differ by 1.
+    Only the digit is checked.
     """
     _check_digits((a,))
-    return not _is_perfect_power(a * (a - 1))
+    return True

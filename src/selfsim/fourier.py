@@ -242,13 +242,17 @@ def decay_fit(envelope) -> DecayFit:
     )
 
 
-def theoretical_beta(alpha: float, l: float) -> float:
-    """Closed-form decay exponent alpha / (2 * (1 + 2*alpha) * (8*l - 7))."""
+def _check_exponent_and_degree(alpha: float, l: float) -> None:
     if not (0.0 <= alpha <= 1.0):
         raise InputError(f"regularity exponent must lie in [0,1], got {alpha!r}")
     if not (l >= 2.0):
         raise InputError(f"auxiliary degree must be at least 2, got {l!r}")
-    return alpha / (2.0 * (1.0 + 2.0 * alpha) * (8.0 * l - 7.0))
+
+
+def theoretical_beta(alpha: float, l: float) -> float:
+    """Closed-form decay exponent alpha / (2 * (1 + 2*alpha) * (8*l - 7))."""
+    _check_exponent_and_degree(alpha, l)
+    return 0.5 * (alpha / (1.0 + 2.0 * alpha)) / (8.0 * l - 7.0)
 
 
 def solve_t_of_xi(alpha: float, l: float, xi: float) -> float:
@@ -258,10 +262,7 @@ def solve_t_of_xi(alpha: float, l: float, xi: float) -> float:
     it exists only when log|xi| > 1.  Bisection brackets the root and a few
     Newton steps polish it to full precision.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise InputError(f"regularity exponent must lie in [0,1], got {alpha!r}")
-    if not (l >= 2.0):
-        raise InputError(f"auxiliary degree must be at least 2, got {l!r}")
+    _check_exponent_and_degree(alpha, l)
     target = math.log(abs(xi)) if xi else -math.inf
     if not (target > 1.0):
         raise InputError(

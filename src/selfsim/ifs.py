@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError, PreconditionError, ResourceCapError
 
 # Interval overlaps up to this length are treated as endpoint touching.
 DISJOINT_TOL = 1e-12
@@ -148,6 +148,15 @@ def validate_disjointness(ifs: WeightedIFS) -> DisjointnessReport:
             if hi - lo > DISJOINT_TOL:
                 bad.append((ifs.symbols[i], ifs.symbols[j], hi - lo))
     return DisjointnessReport(not bad, tuple(bad))
+
+
+def _require_disjoint(ifs: WeightedIFS) -> None:
+    """Raise PreconditionError, naming each overlap, unless the check passes."""
+    report = validate_disjointness(ifs)
+    if not report:
+        pairs = ", ".join(f"{a!r}/{b!r} by {d:.3g}" for a, b, d in report.overlaps)
+        raise PreconditionError(
+            f"disjointness precondition violated, level-1 intervals overlap: {pairs}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from .dimension import natural_weights, solve_moran
 from .diophantine import _check_digits, matveev_degree
 from .errors import InputError, ResourceCapError
+from .fourier import theoretical_beta
 from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS, _levels_over_cap
 
 # CPython's default int-to-str digit limit, the figure's rule wherever the
@@ -178,11 +179,9 @@ def beta_theorem4(digits: Iterable[int]) -> float:
 def beta_prop10(digits: Iterable[int]) -> float:
     """Sharper decay exponent from the two-logarithm bound.
 
-    Equals s / (2 * (1 + 2*s) * (8*l - 7)) with l the matveev_degree of
-    the two smallest digits, written here via that degree so both code
-    paths share one constant.
+    theoretical_beta at the similarity dimension s and the matveev_degree
+    l of the two smallest digits: s / (2 * (1 + 2*s) * (8*l - 7)).
     """
     a1, a2 = _two_smallest(digits)
     _, dim = luroth_natural_ifs(digits)
-    denominator = 8.0 * matveev_degree(a1, a2) - 7.0
-    return 0.5 * (dim / (1.0 + 2.0 * dim)) / denominator
+    return theoretical_beta(dim, matveev_degree(a1, a2))

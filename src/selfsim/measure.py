@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PreconditionError, ResourceCapError
+from .errors import InputError, ResourceCapError
 from .ifs import (
-    DEFAULT_WORD_CAP, WeightedIFS, _levels_over_cap, _refine, validate_disjointness)
+    DEFAULT_WORD_CAP, WeightedIFS, _levels_over_cap, _refine, _require_disjoint)
 
 # Most cylinder pairs held at once by the diagonal sweep.
 _PAIR_ENTRIES = 1 << 16
@@ -107,10 +107,7 @@ def regularity_scan(
     """
     if depth < 1:
         raise InputError(f"scan depth must be at least 1, got {depth!r}")
-    report = validate_disjointness(ifs)
-    if not report:
-        pairs = ", ".join(f"{a!r}/{b!r} by {d:.3g}" for a, b, d in report.overlaps)
-        raise PreconditionError(f"level-1 intervals overlap beyond endpoints: {pairs}")
+    _require_disjoint(ifs)
     if depth > cap:
         raise ResourceCapError(f"regularity scan needs {depth} rows, cap={cap}")
     logs = [(math.log(m.ratio), math.log(w)) for m, w in zip(ifs.maps, ifs.weights)]

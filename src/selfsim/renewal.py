@@ -158,7 +158,6 @@ def _chunk_overshoots(
     probs = np.array(lam.masses)
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
-    bounds = cdf[:-1]
     rng = np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(chunk_index,))))
     live, pos = slot.index[:count], slot.pos[0][:count]
@@ -170,8 +169,9 @@ def _chunk_overshoots(
         rng.random(out=walk)
         atom, mask = slot.atom[:n], slot.mask[:n]
         for row in walk:
-            atom.fill(0)
-            for c in bounds:
+            # A single atom's cdf[0] is exactly 1.0, which no u reaches.
+            np.greater_equal(row, cdf[0], out=atom)
+            for c in cdf[1:-1]:
                 np.add(atom, np.greater_equal(row, c, out=mask), out=atom)
             locs.take(atom, out=row, mode="clip")
         # Row after row from the carried position (faster than cumsum).
@@ -237,24 +237,27 @@ def _run_chunks(
     its slot is free.  Each chunk's stream depends on (seed, chunk index)
     alone, so the overshoots do not depend on the worker count.
     """
-    counts = [min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
-    workers = min(len(counts), _available_cpus())
+    chunks = -(-n_samples // _CHUNK)
+    workers = min(chunks, _available_cpus())
     if threads is not None:
         workers = min(workers, threads)
-    slots = [_Slot(counts[0]) for _ in range(workers)]
+    slots = [_Slot(min(_CHUNK, n_samples)) for _ in range(workers)]
     # Imported here so that loading the CLI does not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
     def submit(index: int):
-        # The output array is allocated here, on the calling thread.
-        return pool.submit(_chunk_overshoots, lam, t, seed, index, counts[index],
-                           slots[index % workers], np.empty(counts[index]))
+        # Sized on submission, so what is held before the first draw does
+        # not grow with n_samples; the output array is allocated here, on
+        # the calling thread.
+        count = min(_CHUNK, n_samples - index * _CHUNK)
+        return pool.submit(_chunk_overshoots, lam, t, seed, index, count,
+                           slots[index % workers], np.empty(count))
 
     with ThreadPoolExecutor(workers) as pool:
         pending = deque(submit(index) for index in range(workers))
-        for index in range(len(counts)):
+        for index in range(chunks):
             yield pending.popleft().result()
-            if index + workers < len(counts):
+            if index + workers < chunks:
                 pending.append(submit(index + workers))
 
 

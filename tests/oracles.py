@@ -5,8 +5,9 @@ avoiding the code paths under test: breadth-first enumeration instead of
 the library's depth-first stack, an infinite-product formula for the
 Cantor transform, a binomial lattice recursion for overshoot laws, sine
 and cosine integrals for the stationary overshoot limit, exact
-Fraction arithmetic for series values, and a sum of multinomial
-coefficients over count vectors for stopping-family sizes.  The overshoot
+Fraction arithmetic for series values, a sum of multinomial
+coefficients over count vectors for stopping-family sizes, and exact
+integer k-th roots for perfect powers.  The overshoot
 sampler's panel stream is restated as a loop over walkers and their
 steps.  Six oracles are earlier versions of library code kept as
 references: compose_word, which composes a word in orbit order, the
@@ -341,3 +342,21 @@ def scaled_gap(b: float, gap: float, l: float) -> float:
     if e >= 709.0:
         return math.inf
     return math.exp(e)
+
+
+def integer_root(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, by integer Newton steps from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def is_perfect_power(m: int) -> bool:
+    """True when m = n^k for integers n >= 2 and k >= 2, trying every k.
+
+    Every k up to the bit length of m is tried, since n >= 2 bounds k by it.
+    """
+    return any(integer_root(m, k) ** k == m for k in range(2, m.bit_length() + 1))

@@ -450,11 +450,41 @@ def test_command_parser_help_matches_the_full_tree(capsys):
     ["luroth-encode", "--x", "2/3"],
     ["luroth-decode", "--digits", "2,3,2"],
     ["luroth-figure", "--spec", LUROTH_SPEC, "--level", "4"],
-    ["beta", "--spec", LUROTH_SPEC, "--seed", "3"],
+    ["beta", "--spec", LUROTH_SPEC],
     ["renewal", "--spec", LUROTH_SPEC, "--t", "10", "--samples", "2000", "--s", "0.2"],
 ], ids=lambda argv: argv[0])
 def test_command_parser_namespace_matches_the_full_tree(argv):
     assert build_parser(argv[0]).parse_args(argv[1:]) == build_parser().parse_args(argv)
+
+
+# The commands that bound what they build, the only ones taking --cap;
+# --seed belongs to renewal alone.
+CAPPED = {"fourier-scan", "decay-fit", "regularity", "diagonal", "dioph-scan",
+          "luroth-encode", "luroth-figure", "renewal"}
+
+
+def test_cap_and_seed_belong_to_the_commands_that_read_them():
+    for name in COMMANDS:
+        dests = {action.dest for action in build_parser(name)._actions}
+        assert ("cap" in dests) == (name in CAPPED), name
+        assert ("seed" in dests) == (name == "renewal"), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--spec", LUROTH_SPEC, "--seed", "1"],
+    ["matveev", "--a1", "2", "--a2", "3", "--cap", "5"],
+], ids=["dim-seed", "matveev-cap"])
+def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_renewal_takes_seed_and_cap(capsys):
+    code, out, _ = run(["renewal", "--spec", LUROTH_SPEC, "--t", "10", "--samples", "200",
+                        "--seed", "7", "--cap", "1000000"], capsys)
+    assert code == 0 and out.startswith("renewal ")
 
 
 @pytest.mark.parametrize("argv,code", [

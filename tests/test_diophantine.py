@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import scaled_gap
+from oracles import is_perfect_power, scaled_gap
 from selfsim import (
     DiophantineReport,
     InputError,
@@ -289,8 +289,8 @@ def test_perfect_power_free():
         perfect_power_free(1)
     with pytest.raises(InputError):
         perfect_power_free(True)
-    # The underlying power detector is what does the work.
-    from selfsim.diophantine import _is_perfect_power
-    assert _is_perfect_power(4) and _is_perfect_power(8) and _is_perfect_power(27)
-    assert _is_perfect_power(6 ** 5) and _is_perfect_power(1024)
-    assert not _is_perfect_power(12) and not _is_perfect_power(2)
+    # The claim, checked by brute force: the oracle finds powers of any
+    # exponent, and no a(a-1) with a up to 20 000 is one.
+    assert all(is_perfect_power(m) for m in (4, 8, 27, 6 ** 5, 1024, 2 ** 67, 3 ** 41))
+    assert not any(is_perfect_power(m) for m in (2, 12, 2 ** 67 + 1))
+    assert not any(is_perfect_power(a * (a - 1)) for a in range(2, 20_001))

@@ -211,6 +211,21 @@ def test_chunk_memory_stays_bounded_for_long_walks():
     assert peak < 100 * 2 ** 20
 
 
+def test_chunk_sizes_are_not_listed_before_the_first_draw(luroth_lambda):
+    # 10^12 samples are about 15 million chunks; the first chunk comes
+    # back without a list of every chunk's size being built first.
+    tracemalloc.start()
+    try:
+        chunks = selfsim.renewal._run_chunks(luroth_lambda, 1.0, 0, 10 ** 12, 1)
+        first = next(chunks)
+        chunks.close()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == _CHUNK
+    assert peak < 32 * 2 ** 20
+
+
 # Step laws for the sampler identity: Luroth systems with two to eight
 # digits, the 9/10 walk (small steps, long walks) and a single map.  The
 # identity tests check the panel reference; their names date from the
