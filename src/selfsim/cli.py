@@ -16,9 +16,9 @@ other; only a bare ``selfsim``, ``selfsim -h`` or an unknown command
 builds the tree of all commands.  Table cells are joined with commas
 directly: no cell text holds a comma, a quote or a line break, so no cell
 needs csv quoting, and every block of tuple rows is checked for that.  A
-float array table is rendered in numpy, block by block, to the exact
-bytes of "%.17g" (selfsim.floatcsv): a cell is either certified by the
-fast path, whose digits are exact, or rendered by "%.17g" itself.
+float array table is rendered in numpy to the exact bytes of "%.17g"
+(selfsim.floatcsv), the luroth-figure table from integer cylinders
+(selfsim.figurecsv).
 
 Library functions are called through this module's globals, looked up
 at call time, so a tracer can replace them here.
@@ -48,17 +48,14 @@ from .diophantine import (
     matveev_log_constant,
     weakly_diophantine_scan,
 )
-from .errors import InputError, InternalInvariantError, ResourceCapError, SelfsimError
+from .errors import (
+    DigitLimitError, InputError, InternalInvariantError, ResourceCapError, SelfsimError)
 from .fourier import decay_fit, dyadic_scan
 from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS
-from .luroth import (
-    beta_prop10,
-    beta_theorem4,
-    figure_intervals,
-    luroth_decode,
-    luroth_encode,
-    luroth_ifs,
-)
+# figure_intervals is unused here; bench/child.py's tracer wraps it under this name.
+from .luroth import (  # noqa: F401
+    _figure_cylinders, beta_prop10, beta_theorem4, figure_intervals, luroth_decode,
+    luroth_encode, luroth_ifs)
 from .measure import diagonal_mass, regularity_scan
 from .renewal import phase_test_function, renewal_expectation_mc
 
@@ -152,8 +149,6 @@ def _fmt(value) -> str:
             return format(value, ".17g")
         if kind is int or kind is str:
             return str(value)
-        if kind is Fraction:
-            return f"{value.numerator}/{value.denominator}"
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, float):
@@ -163,10 +158,8 @@ def _fmt(value) -> str:
         return str(value)
     except ValueError as exc:
         # Python 3.11 on refuses to print an integer of more digits than
-        # sys.get_int_max_str_digits(), such as a deep exact cylinder end.
-        raise InputError(
-            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
-            "the limit for integer string conversion") from exc
+        # sys.get_int_max_str_digits(), such as a long exact Luroth decode.
+        raise DigitLimitError() from exc
 
 
 # Rows per encoded block of a CSV table.
@@ -193,14 +186,17 @@ def _csv_blocks(header: list[str], rows):
 
     A float64 array is rendered by floatcsv.FloatCells: each cell is
     either certified by its fast path or written by "%.17g" itself, so
-    every cell has the bytes of b"%.17g" % cell.  Other tables are rows of
-    tuples whose cells _fmt renders and commas join.  Both give the bytes
-    of csv.writer over the "%.17g" or _fmt text, since no cell needs
-    quoting (a float cell cannot hold a comma; the others are checked per
-    block by _unquoted).
+    every cell has the bytes of b"%.17g" % cell.  figurecsv.FigureRows
+    writes _fmt's "p/q" for each reduced end.  Other tables are rows of
+    tuples whose cells _fmt renders and commas join.  All give csv.writer's
+    bytes, since no cell needs quoting (a number cannot hold a comma; the
+    other cells are checked per block by _unquoted).
     """
     columns = len(header)
     yield _unquoted(",".join(header) + "\r\n", 1, columns).encode()
+    if hasattr(rows, "csv_blocks"):  # figurecsv.FigureRows, not imported here
+        yield from rows.csv_blocks(_BLOCK_ROWS)
+        return
     if isinstance(rows, np.ndarray):
         from .floatcsv import FloatCells  # compiled only where a float table is written
 
@@ -221,10 +217,10 @@ def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: di
 
     The primary table lands at ``args.out``; any extra table is written
     next to it with its name inserted before the .csv suffix.  A table's
-    rows are tuples, or one float array.  The sidecar records each
-    table's header, row count and CSV sha256, not its rows; the hash is
-    taken from the bytes as they are written, so no CSV is read back.
-    A CSV whose writing raised (a cell _fmt refuses) is removed.
+    rows are tuples, one float array or FigureRows.  The sidecar records
+    each table's header, row count and CSV sha256, not its rows; the hash
+    is taken from the bytes as they are written, so no CSV is read back.
+    A CSV whose writing raised (a cell past the digit limit) is removed.
     """
     base, ext = os.path.splitext(args.out)
     if ext.lower() != ".csv":
@@ -412,10 +408,10 @@ def _luroth_decode(args, spec):
 
 
 def _luroth_figure(args, spec):
-    intervals = figure_intervals(spec.luroth_digits, args.level, cap=args.cap)
-    rows = [(i, left, right) for i, (left, right) in enumerate(intervals)]
-    return ({"level": args.level, "count": len(intervals)},
-            {"main": (["index", "left", "right"], rows)})
+    from .figurecsv import FigureRows  # compiled only where a figure is built
+    cylinders = _figure_cylinders(spec.luroth_digits, args.level, args.cap)
+    return ({"level": args.level, "count": len(cylinders)},
+            {"main": (["index", "left", "right"], FigureRows(cylinders))})
 
 
 def _beta(args, spec):
@@ -478,6 +474,10 @@ def _flag(*names, **kwargs):
 # Only the commands that bound what they build take --cap.
 _CAP = _flag("--cap", type=int, default=DEFAULT_WORD_CAP,
              help="enumeration cap (default %(default)s)")
+# Read by renewal; bench/jobs.py also passes it to the Fourier commands.
+_THREADS = _flag("--threads", type=int, default=None,
+                 help="worker threads, at least 1; renewal samples that many chunks at once, "
+                      "at most the available CPUs (the default); no output depends on it")
 
 _SCAN_FLAGS = (
     _flag("--t", type=float, default=12.0, help="stopping time (default %(default)s)"),
@@ -486,6 +486,7 @@ _SCAN_FLAGS = (
     _flag("--points-per-octave", type=int, default=8,
           help="grid points per dyadic block (default %(default)s)"),
     _CAP,
+    _THREADS,
 )
 
 COMMANDS = {
@@ -539,6 +540,7 @@ COMMANDS = {
               help="phase strength of the test observable (default %(default)s)"),
         _flag("--seed", type=int, default=0, help="random seed (default %(default)s)"),
         _CAP,
+        _THREADS,
     )),
 }
 
@@ -548,10 +550,6 @@ def _add_flags(parser: argparse.ArgumentParser, command: Command) -> None:
     if command.spec is not None:
         parser.add_argument("--spec", help="path to a JSON job spec, or an inline JSON object")
     parser.add_argument("--out", help="output CSV path; a JSON sidecar is written next to it")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads, at least 1; renewal samples that many "
-                             "chunks at once, at most the available CPUs (the "
-                             "default), and no command's output depends on it")
     for names, kwargs in command.flags:
         parser.add_argument(*names, **kwargs)
 
@@ -582,8 +580,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     """Run one parsed command: spec, summary line, then CSV and sidecar."""
     started = time.monotonic()
-    if args.threads is not None and args.threads < 1:
-        raise InputError(f"thread count must be at least 1, got {args.threads}")
+    if (threads := getattr(args, "threads", None)) is not None and threads < 1:
+        raise InputError(f"thread count must be at least 1, got {threads}")
     command = COMMANDS[args.command]
     spec = None
     if command.spec is not None:

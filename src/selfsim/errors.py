@@ -8,6 +8,8 @@ process return codes without inspecting types at each call site:
 * 4: an internal consistency check failed (a bug, not a user error).
 """
 
+import sys
+
 
 class SelfsimError(Exception):
     """Base class for all library errors."""
@@ -19,6 +21,15 @@ class InputError(SelfsimError):
     """Malformed or out-of-range user input."""
 
     exit_status = 2
+
+
+class DigitLimitError(InputError):
+    """An exact integer has more digits than Python 3.11+ converts to a string."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for integer string conversion")
 
 
 class PreconditionError(InputError):

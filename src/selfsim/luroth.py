@@ -123,24 +123,17 @@ def luroth_decode(digits, exact: bool = False):
     return a / w, 1 / w
 
 
-def figure_intervals(
-    digits: Iterable[int],
-    level: int,
-    cap: int = DEFAULT_WORD_CAP,
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Exact level-``level`` cylinder intervals of the digit system.
+def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> list[tuple[int, int]]:
+    """Level-``level`` cylinders [A/W, (A+1)/W] of the digits, as pairs (A, W).
 
-    Every word of the given length contributes its image of [0,1], the
-    interval [A/W, (A+1)/W] of _refine_cylinder.  The maps increase and
-    larger digits lie further left, so refining by descending digits
-    keeps the intervals sorted by left endpoint.
-
-    The reduced denominators q1, q2 of an interval's ends satisfy
-    q1 * q2 >= W, so the word repeating the largest digit d has an end
-    with a denominator of at least (d * (d - 1)) ** (level / 2).  When that
-    bound has more digits than the interpreter's int-to-str limit (4300,
-    CPython's default, where the interpreter sets none), the ends cannot
-    be printed, and InputError is raised before any interval is built.
+    Each word's image of [0,1] comes from _refine_cylinder; the maps
+    increase and larger digits lie further left, so refining by descending
+    digits keeps the cylinders sorted.  The reduced denominators q1, q2 of
+    an interval's ends satisfy q1 * q2 >= W, so the word repeating the
+    largest digit d has an end with a denominator of at least
+    (d * (d - 1)) ** (level / 2).  When that bound has more digits than the
+    interpreter's int-to-str limit (4300, CPython's default, where the
+    interpreter sets none), InputError is raised before any cylinder is built.
     """
     ds = _digit_set(digits)
     if level < 1:
@@ -155,7 +148,14 @@ def figure_intervals(
     cylinders = [(0, 1)]
     for _ in range(level):
         cylinders = [_refine_cylinder(a, w, d) for a, w in cylinders for d in reversed(ds)]
-    return tuple((Fraction(a, w), Fraction(a + 1, w)) for a, w in cylinders)
+    return cylinders
+
+
+def figure_intervals(digits: Iterable[int], level: int,
+                     cap: int = DEFAULT_WORD_CAP) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Exact level-``level`` intervals [A/W, (A+1)/W] of _figure_cylinders, sorted."""
+    return tuple((Fraction(a, w), Fraction(a + 1, w))
+                 for a, w in _figure_cylinders(digits, level, cap))
 
 
 def _two_smallest(digits: Iterable[int]) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfsim.cli
-from oracles import csv_bytes
+from oracles import csv_bytes, luroth_cylinders
 from selfsim import InputError, InternalInvariantError, auxiliary_measure, matveev_degree, weakly_diophantine_scan
 from selfsim.cli import COMMANDS, build_parser, main, parse_spec
 
@@ -296,7 +296,7 @@ def test_threads_flag_validated_and_env_ignored(capsys, monkeypatch):
     code, _, _ = run(["fourier-scan", "--spec", LUROTH_SPEC, "--t", "6",
                       "--xi-max", "8"], capsys)
     assert code == 0
-    code, _, err = run(["dim", "--spec", LUROTH_SPEC, "--threads", "0"], capsys)
+    code, _, err = run(["renewal", "--spec", LUROTH_SPEC, "--threads", "0"], capsys)
     assert code == 2 and "thread count" in err
 
 
@@ -314,6 +314,33 @@ def test_luroth_commands(tmp_path, capsys):
     assert rows[-1][1:] == ["7/8", "1/1"]
     code, _, err = run(["luroth-decode", "--digits", "2,x"], capsys)
     assert code == 2 and "digits" in err
+
+
+@pytest.mark.parametrize("digits, level", [((2, 3), 12), ((2, 3, 5, 7), 5), ((59, 60), 6),
+                                           ((2,), 200)], ids=["2,3@12", "2,3,5,7@5", "59,60@6",
+                                                              "2@200"])
+def test_luroth_figure_csv_bytes_match_the_fraction_oracle(digits, level, tmp_path, capsys):
+    out = tmp_path / "fig.csv"
+    spec = json.dumps({"luroth": list(digits)})
+    code, stdout, _ = run(["luroth-figure", "--spec", spec, "--level", str(level),
+                           "--out", str(out)], capsys)
+    assert code == 0
+    want = [(i, left, right) for i, (left, right) in enumerate(luroth_cylinders(digits, level))]
+    assert stdout == f"luroth-figure level={level} count={len(want)}\n"
+    assert out.read_bytes() == csv_bytes(["index", "left", "right"], want)
+
+
+# sha256 of the level-14 Luroth {2,3} figure: 16 384 rows, two write blocks.
+FIGURE_14_SHA256 = "626d59a3cb103e5c8bb5d9ac6236b4b808dc02c111169fdf5ab8cebe95a40a60"
+
+
+def test_luroth_figure_level14_digest(tmp_path, capsys):
+    out = tmp_path / "fig.csv"
+    assert run(["luroth-figure", "--spec", LUROTH_SPEC, "--level", "14",
+                "--out", str(out)], capsys)[0] == 0
+    table = json.loads((tmp_path / "fig.json").read_text())["tables"]["main"]
+    assert table["rows"] == 2 ** 14 > selfsim.cli._BLOCK_ROWS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == table["sha256"] == FIGURE_14_SHA256
 
 
 def test_beta_and_matveev_commands(capsys):
@@ -470,10 +497,21 @@ def test_cap_and_seed_belong_to_the_commands_that_read_them():
         assert ("seed" in dests) == (name == "renewal"), name
 
 
+# renewal reads --threads; the benchmark passes it to the two Fourier commands.
+THREADED = {"renewal", "fourier-scan", "decay-fit"}
+
+
+def test_threads_belongs_to_renewal_and_the_fourier_commands():
+    for name in COMMANDS:
+        dests = {action.dest for action in build_parser(name)._actions}
+        assert ("threads" in dests) == (name in THREADED), name
+
+
 @pytest.mark.parametrize("argv", [
     ["dim", "--spec", LUROTH_SPEC, "--seed", "1"],
     ["matveev", "--a1", "2", "--a2", "3", "--cap", "5"],
-], ids=["dim-seed", "matveev-cap"])
+    ["dim", "--spec", LUROTH_SPEC, "--threads", "2"],
+], ids=["dim-seed", "matveev-cap", "dim-threads"])
 def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

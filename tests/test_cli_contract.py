@@ -15,6 +15,7 @@ import pytest
 import selfsim.cli
 import selfsim.fourier
 import selfsim.ifs
+import selfsim.luroth
 import selfsim.renewal
 
 LUROTH = '{"luroth": [2, 3]}'
@@ -174,7 +175,7 @@ TRACED = [
     (selfsim.cli, "renewal_expectation_mc", "renewal"),
     (selfsim.cli, "regularity_scan", "regularity"),
     (selfsim.cli, "diagonal_mass", "diagonal"),
-    (selfsim.cli, "figure_intervals", "luroth-figure"),
+    (selfsim.cli, "_figure_cylinders", "luroth-figure"),
     (selfsim.cli, "phase_test_function", "renewal"),
     (selfsim.renewal, "renewal_limit", "renewal"),
 ]
@@ -200,6 +201,12 @@ def test_fourier_keeps_stopping_words_for_the_tracer():
     # The tracer wraps selfsim.fourier.stopping_words; no command calls it,
     # so the name only has to stay the enumerator itself.
     assert selfsim.fourier.stopping_words is selfsim.ifs.stopping_words
+
+
+def test_cli_keeps_figure_intervals_for_the_tracer():
+    # The tracer wraps selfsim.cli.figure_intervals; luroth-figure calls
+    # _figure_cylinders, so the name only has to stay the public function.
+    assert selfsim.cli.figure_intervals is selfsim.luroth.figure_intervals
 
 
 BAD_INPUT = [
