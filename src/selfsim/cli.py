@@ -592,7 +592,10 @@ def _run(args: argparse.Namespace) -> int:
     # Formatted first and printed last, so a refused cell leaves no stdout line.
     line = args.command + " " + " ".join(f"{k}={_fmt(v)}" for k, v in summary.items())
     if args.out:
-        _write_artifacts(args, spec.sha256 if spec else None, summary, tables, started)
+        try:
+            _write_artifacts(args, spec.sha256 if spec else None, summary, tables, started)
+        except OSError as exc:
+            raise InputError(f"cannot write output: {exc}") from exc
     print(line)
     return 0
 

@@ -31,7 +31,7 @@ _FOLD_ENTRIES = 2_000_000
 
 @dataclass(frozen=True)
 class SpectralSample:
-    """One evaluation of the transform with a certified error bound."""
+    """One transform value with an error bound that holds in exact arithmetic."""
 
     xi: float
     value: complex
@@ -61,12 +61,13 @@ class DecayFit:
 
 def _family_sums(
     ifs: WeightedIFS, t: float, xis: np.ndarray, cap: int,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Cylinder midpoint sums over the stopping family at every frequency.
 
     Returns the transform values sum_w p_w exp(-2*pi*i*xi*(c_w + r_w/2))
-    at ``xis`` and the family size.  The sum is folded up the states of
-    _stopping_states, deepest level first:
+    at ``xis``, their midpoint-rule bounds pi*|xi|*exp(-t), and the family
+    size; every Fourier output reads its values and bounds from here.  The
+    sum is folded up the states of _stopping_states, deepest level first:
 
         V_s = sum_k p_k exp(-2*pi*i*xi*r_s*b_k) * V_{s+e_k}    (internal child)
             + sum_k p_k exp(-2*pi*i*xi*r_s*(b_k + r_k/2))      (child is a word)
@@ -81,26 +82,27 @@ def _family_sums(
     xis = np.asarray(xis, dtype=float)
     if ifs.size == 1:
         _, ratio, lo, mass = _single_map_word(ifs, t, cap)
-        return mass * np.exp(1j * (-TWO_PI * (lo + 0.5 * ratio) * xis)), 1
-    levels, words = _stopping_states(ifs, t, cap)
-    rows = max(1, _FOLD_ENTRIES // max(len(ratio) for ratio, _ in levels))
-    values = np.empty(len(xis), dtype=complex)
-    for start in range(0, len(xis), rows):
-        chunk = xis[start:start + rows]
-        below = np.empty((0, len(chunk)), dtype=complex)
-        for ratio, children in reversed(levels):
-            angle = np.multiply.outer(-TWO_PI * ratio, chunk)
-            here = np.zeros(angle.shape, dtype=complex)
-            for k, (m, p) in enumerate(zip(ifs.maps, ifs.weights)):
-                child = children[:, k]
-                inner = child >= 0
-                shift = np.where(inner, m.translation, m.translation + 0.5 * m.ratio)
-                term = np.exp(1j * (angle * shift[:, None]))
-                term[inner] *= below[child[inner]]
-                here += p * term
-            below = here
-        values[start:start + len(chunk)] = below[0]
-    return values, words
+        values, words = mass * np.exp(1j * (-TWO_PI * (lo + 0.5 * ratio) * xis)), 1
+    else:
+        levels, words = _stopping_states(ifs, t, cap)
+        rows = max(1, _FOLD_ENTRIES // max(len(ratio) for ratio, _ in levels))
+        values = np.empty(len(xis), dtype=complex)
+        for start in range(0, len(xis), rows):
+            chunk = xis[start:start + rows]
+            below = np.empty((0, len(chunk)), dtype=complex)
+            for ratio, children in reversed(levels):
+                angle = np.multiply.outer(-TWO_PI * ratio, chunk)
+                here = np.zeros(angle.shape, dtype=complex)
+                for k, (m, p) in enumerate(zip(ifs.maps, ifs.weights)):
+                    child = children[:, k]
+                    inner = child >= 0
+                    shift = np.where(inner, m.translation, m.translation + 0.5 * m.ratio)
+                    term = np.exp(1j * (angle * shift[:, None]))
+                    term[inner] *= below[child[inner]]
+                    here += p * term
+                below = here
+            values[start:start + len(chunk)] = below[0]
+    return values, math.pi * np.abs(xis) * math.exp(-t), words
 
 
 def mu_hat_cylinder(
@@ -118,11 +120,11 @@ def mu_hat_cylinder(
     the float rounding of the phases, which exceeds it at depth: for the
     Cantor measure at t=60 against an 80-digit reference.
     """
-    values, words = _family_sums(ifs, t, np.array([float(xi)]), cap)
+    values, bounds, words = _family_sums(ifs, t, np.array([float(xi)]), cap)
     return SpectralSample(
         xi=float(xi),
         value=complex(values[0]),
-        error_bound=math.pi * abs(xi) * math.exp(-t),
+        error_bound=float(bounds[0]),
         cost=words,
     )
 
@@ -143,7 +145,7 @@ def self_similarity_residual(
     bounds.
     """
     xis = np.array([xi] + [m.ratio * xi for m in ifs.maps], dtype=float)
-    values, _ = _family_sums(ifs, t, xis, cap)
+    values, _, _ = _family_sums(ifs, t, xis, cap)
     combined = 0j
     for m, p, child in zip(ifs.maps, ifs.weights, values[1:]):
         phase = np.exp(-1j * TWO_PI * xi * m.translation)
@@ -161,12 +163,13 @@ def dyadic_scan(
     """Evaluate the transform on a geometric grid and reduce to block maxima.
 
     Blocks start at the powers of two below ``xi_max``; inside the block
-    [X, 2X) the grid points are X * 2^(j / points_per_octave).  Each block
-    reports its maximum modulus and the largest per-sample error bound.
-    Every frequency is summed by one fold over the stopping states.
-    ``xi_max`` must keep the phases 2*pi*xi*x finite, and the grid's
-    blocks times ``points_per_octave``, an upper bound on its points, is
-    checked against ``cap`` before any block is built.
+    [X, 2X) the grid points are X * 2^(j / points_per_octave).  Returns the
+    samples in frequency order, each value and bound from one fold, and per
+    block its largest modulus and bound.  The moduli are Python's abs, as
+    np.abs can differ in the last bit and the envelope must match the
+    samples.  ``xi_max`` must keep the phases 2*pi*xi*x finite, and the
+    grid's blocks times ``points_per_octave``, an upper bound on its points,
+    is checked against ``cap`` before any block is built.
     """
     if not (xi_max > 1.0 and math.isfinite(TWO_PI * xi_max)):
         raise InputError(
@@ -180,28 +183,19 @@ def dyadic_scan(
     count = octaves * points_per_octave
     if count > cap:
         raise ResourceCapError(f"frequency grid needs up to {count} points, cap={cap}")
-    steps = 2.0 ** (np.arange(points_per_octave) / points_per_octave)
-    blocks: list[tuple[float, np.ndarray]] = []
-    for k in range(octaves):
-        xis = 2.0 ** k * steps
-        blocks.append((2.0 ** k, xis[xis <= xi_max]))
-    values, words = _family_sums(
-        ifs, t, np.concatenate([xis for _, xis in blocks]), cap)
-    splits = np.cumsum([len(xis) for _, xis in blocks])[:-1]
-    samples: list[SpectralSample] = []
-    envelope: list[EnvelopePoint] = []
-    for (x, xis), vals in zip(blocks, np.split(values, splits)):
-        errs = math.pi * np.abs(xis) * math.exp(-t)
-        block: list[SpectralSample] = [
-            SpectralSample(float(xi), complex(v), float(e), words)
-            for xi, v, e in zip(xis, vals, errs)
-        ]
-        samples.extend(block)
-        # The block maximum is taken over the emitted sample values so the
-        # envelope agrees with the samples bit for bit.
-        envelope.append(EnvelopePoint(float(x), max(abs(s.value) for s in block),
-                                      float(errs.max())))
-    return tuple(samples), tuple(envelope)
+    starts = 2.0 ** np.arange(octaves)
+    grid = np.multiply.outer(starts, 2.0 ** (np.arange(points_per_octave) / points_per_octave))
+    xis = grid[grid <= xi_max]
+    values, bounds, words = _family_sums(ifs, t, xis, cap)
+    samples = tuple(map(SpectralSample, xis.tolist(), values.tolist(), bounds.tolist(),
+                        [words] * len(xis)))
+    # Only the last block can pass xi_max, so block k starts at sample k * points_per_octave.
+    firsts = np.arange(octaves) * points_per_octave
+    moduli = np.array([abs(s.value) for s in samples])
+    envelope = tuple(map(EnvelopePoint, starts.tolist(),
+                         np.maximum.reduceat(moduli, firsts).tolist(),
+                         np.maximum.reduceat(bounds, firsts).tolist()))
+    return samples, envelope
 
 
 def decay_fit(envelope) -> DecayFit:

@@ -232,6 +232,17 @@ def test_refused_cell_leaves_no_output(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "lf.json").exists()
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # A missing directory fails at the CSV; a directory named like the
+    # sidecar fails at the JSON, after the CSV is written.
+    (tmp_path / "x.json").mkdir()
+    for out, name in ((tmp_path / "missing" / "x.csv", "x.csv"), (tmp_path / "x.csv", "x.json")):
+        code, stdout, err = run(["dim", "--spec", LUROTH_SPEC, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and name in err
+        assert stdout == ""
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="no integer string conversion limit")
 def test_unprintable_figure_level_is_refused_before_its_loop(tmp_path, capsys, monkeypatch):

@@ -133,15 +133,25 @@ def test_self_similarity_residual_small(luroth23):
         assert residual <= combined
 
 
-def test_dyadic_scan_structure(luroth23):
-    samples, envelope = dyadic_scan(luroth23, 128.0, 4, 9.0)
-    assert [e.x for e in envelope] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    xs = [s.xi for s in samples]
-    assert xs == sorted(xs)
-    assert all(s.xi <= 128.0 for s in samples)
-    for e in envelope:
-        block = [abs(s.value) for s in samples if e.x <= s.xi < 2 * e.x]
-        assert e.max_abs == max(block)
+def test_dyadic_scan_structure(luroth23, cantor, ninety):
+    one_map = WeightedIFS((0,), (Similitude(0.5, 0.25),), (1.0,))
+    for ifs in (luroth23, cantor, ninety, one_map):
+        samples, envelope = dyadic_scan(ifs, 128.0, 4, 9.0)
+        assert [e.x for e in envelope] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        xs = [s.xi for s in samples]
+        assert xs == sorted(xs)
+        assert all(s.xi <= 128.0 for s in samples)
+        for e in envelope:
+            block = [s for s in samples if e.x <= s.xi < 2 * e.x]
+            assert e.max_abs == max(abs(s.value) for s in block)
+            assert e.error_bound == max(s.error_bound for s in block)
+        # Samples and single evaluations share one fold, so bounds and costs
+        # agree exactly.  Values agree to rounding only: a one-frequency fold
+        # takes another rounding path in numpy's complex multiply.
+        for s in samples:
+            ref = mu_hat_cylinder(ifs, s.xi, 9.0)
+            assert (s.error_bound, s.cost) == (ref.error_bound, ref.cost)
+            assert abs(s.value - ref.value) <= 4 * EPS
 
 
 def test_decay_fit_recovers_synthetic_exponent():
