@@ -220,39 +220,42 @@ def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: di
     rows are tuples, one float array or FigureRows.  The sidecar records
     each table's header, row count and CSV sha256, not its rows; the hash
     is taken from the bytes as they are written, so no CSV is read back.
-    A CSV whose writing raised (a cell past the digit limit) is removed.
+    If any write raises (a cell past the digit limit, an unopenable
+    sidecar), every file this call opened is removed, so none is left.
     """
     base, ext = os.path.splitext(args.out)
     if ext.lower() != ".csv":
         base, ext = args.out, ".csv"
-    written = {}
-    for name, (header, rows) in tables.items():
-        path = base + ext if name == "main" else f"{base}.{name}{ext}"
-        digest = hashlib.sha256()
-        fh = open(path, "wb")
-        try:
-            with fh:
+    written, opened = {}, []
+    try:
+        for name, (header, rows) in tables.items():
+            path = base + ext if name == "main" else f"{base}.{name}{ext}"
+            digest = hashlib.sha256()
+            with open(path, "wb") as fh:
+                opened.append(path)
                 for data in _csv_blocks(header, rows):
                     fh.write(data)
                     digest.update(data)
-        except BaseException:
+            written[name] = {"header": header, "rows": len(rows), "sha256": digest.hexdigest()}
+        sidecar = {
+            "version": __version__,
+            "command": args.command,
+            "spec_sha256": spec_sha,
+            "parameters": {k: v for k, v in sorted(vars(args).items())
+                           if k not in ("out", "spec") and v is not None},
+            "summary": summary,
+            "tables": written,
+            "wall_time_s": time.monotonic() - started,
+        }
+        with open(base + ".json", "w", encoding="utf-8") as fh:
+            opened.append(base + ".json")
+            # Fractions (exact Luroth values) are written as "p/q" strings.
+            json.dump(sidecar, fh, indent=1, default=_fmt)
+            fh.write("\n")
+    except BaseException:
+        for path in opened:
             os.remove(path)
-            raise
-        written[name] = {"header": header, "rows": len(rows), "sha256": digest.hexdigest()}
-    sidecar = {
-        "version": __version__,
-        "command": args.command,
-        "spec_sha256": spec_sha,
-        "parameters": {k: v for k, v in sorted(vars(args).items())
-                       if k not in ("out", "spec") and v is not None},
-        "summary": summary,
-        "tables": written,
-        "wall_time_s": time.monotonic() - started,
-    }
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        # Fractions (exact Luroth values) are written as "p/q" strings.
-        json.dump(sidecar, fh, indent=1, default=_fmt)
-        fh.write("\n")
+        raise
 
 
 def _load_spec(args: argparse.Namespace) -> JobSpec:

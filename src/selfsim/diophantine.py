@@ -94,10 +94,11 @@ def laplace_transform(lam: AuxiliaryMeasure, z: complex | np.ndarray) -> complex
     """Sum of mass * exp(-z * location) over the atoms.
 
     ``z`` is a point, which gives a complex, or an array of points, which
-    gives a complex array of its shape.
+    gives a complex array of its shape.  The atoms are summed one at a
+    time, in order and with no BLAS call, so a point equals its batch entry.
     """
-    terms = np.multiply.outer(-np.asarray(z, dtype=complex), lam.locations)
-    values = np.exp(terms, out=terms) @ np.array(lam.masses)
+    z = np.asarray(z, dtype=complex)
+    values = sum(mass * np.exp(-z * loc) for loc, mass in lam.atoms)
     return complex(values) if np.ndim(z) == 0 else values
 
 

@@ -234,13 +234,20 @@ def test_refused_cell_leaves_no_output(tmp_path, capsys):
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
     # A missing directory fails at the CSV; a directory named like the
-    # sidecar fails at the JSON, after the CSV is written.
+    # sidecar fails at the JSON, after the CSV is written; one named like
+    # the envelope table fails after the main CSV.  No written file stays.
     (tmp_path / "x.json").mkdir()
-    for out, name in ((tmp_path / "missing" / "x.csv", "x.csv"), (tmp_path / "x.csv", "x.json")):
-        code, stdout, err = run(["dim", "--spec", LUROTH_SPEC, "--out", str(out)], capsys)
+    (tmp_path / "y.envelope.csv").mkdir()
+    dim = ["dim", "--spec", LUROTH_SPEC]
+    scan = ["fourier-scan", "--spec", LUROTH_SPEC, "--t", "8", "--xi-max", "100"]
+    for argv, out, name in ((dim, tmp_path / "missing" / "x.csv", "x.csv"),
+                            (dim, tmp_path / "x.csv", "x.json"),
+                            (scan, tmp_path / "y.csv", "y.envelope.csv")):
+        code, stdout, err = run(argv + ["--out", str(out)], capsys)
         assert code == 2
         assert err.startswith("error: ") and name in err
         assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "y.envelope.csv"]
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

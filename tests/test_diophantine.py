@@ -94,6 +94,20 @@ def test_laplace_transform_off_the_axis(digits):
     assert np.array_equal(report.rows[:, 1].view(np.uint64), gaps.view(np.uint64))
 
 
+@pytest.mark.parametrize("digits", [(2, 3), (2, 3, 5, 7), (2, 3, 5, 7, 11)])
+def test_laplace_transform_at_a_point_is_its_batch_entry(digits):
+    # A point's value has the same bits alone, in a batch and in the
+    # reversed batch, on the imaginary axis and off it.
+    lam = auxiliary_measure(luroth_natural_ifs(digits)[0])
+    assert len(lam.atoms) == len(digits)
+    rng = np.random.default_rng(len(digits))
+    off_axis = rng.uniform(-2.0, 2.0, 300) + 1j * rng.uniform(-1e4, 1e4, 300)
+    for z in (1j * np.linspace(1.0, 1e5, 5001), off_axis):
+        points = np.array([laplace_transform(lam, p) for p in z.tolist()]).view(np.uint64)
+        for batch in (laplace_transform(lam, z), laplace_transform(lam, z[::-1])[::-1]):
+            assert np.array_equal(np.ascontiguousarray(batch).view(np.uint64), points)
+
+
 def test_scan_flags_lattice_resonance(lattice_lambda):
     report = weakly_diophantine_scan(lattice_lambda, 2.0, 200.0, 512)
     assert report.lattice is True

@@ -15,12 +15,14 @@ from selfsim import (
     WeightedIFS,
     decay_fit,
     dyadic_scan,
+    fourier,
     mu_hat_cylinder,
     self_similarity_residual,
     solve_t_of_xi,
     stopping_words,
     theoretical_beta,
 )
+from selfsim.ifs import DEFAULT_WORD_CAP, _stopping_states
 from selfsim.luroth import luroth_natural_ifs
 
 EPS = np.finfo(float).eps
@@ -145,13 +147,26 @@ def test_dyadic_scan_structure(luroth23, cantor, ninety):
             block = [s for s in samples if e.x <= s.xi < 2 * e.x]
             assert e.max_abs == max(abs(s.value) for s in block)
             assert e.error_bound == max(s.error_bound for s in block)
-        # Samples and single evaluations share one fold, so bounds and costs
-        # agree exactly.  Values agree to rounding only: a one-frequency fold
-        # takes another rounding path in numpy's complex multiply.
+        # A single evaluation equals the grid's sample at the same frequency:
+        # the fold does the same arithmetic for a frequency alone.
         for s in samples:
-            ref = mu_hat_cylinder(ifs, s.xi, 9.0)
-            assert (s.error_bound, s.cost) == (ref.error_bound, ref.cost)
-            assert abs(s.value - ref.value) <= 4 * EPS
+            assert mu_hat_cylinder(ifs, s.xi, 9.0) == s
+
+
+def test_dyadic_scan_does_not_depend_on_fold_blocks(luroth23, cantor, ninety, monkeypatch):
+    # Each fold block holds 1, 2, 3 or 7 frequencies instead of all of them;
+    # every sample and envelope point must keep its bits.
+    rng = np.random.default_rng(24)
+    systems = [luroth23, luroth_natural_ifs((2, 3, 5, 7))[0], cantor, ninety]
+    systems += [random_disjoint_ifs(rng) for _ in range(3)]
+    for ifs in systems:
+        default = dyadic_scan(ifs, 1e4, 5, 10.0)
+        levels, _ = _stopping_states(ifs, 10.0, DEFAULT_WORD_CAP)
+        widest = max(len(ratio) for ratio, _ in levels)
+        for rows in (1, 2, 3, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(fourier, "_FOLD_ENTRIES", rows * widest)
+                assert dyadic_scan(ifs, 1e4, 5, 10.0) == default
 
 
 def test_decay_fit_recovers_synthetic_exponent():
