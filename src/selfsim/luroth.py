@@ -126,7 +126,7 @@ def luroth_decode(digits, exact: bool = False):
 def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> list[tuple[int, int]]:
     """Level-``level`` cylinders [A/W, (A+1)/W] of the digits, as pairs (A, W).
 
-    Each word's image of [0,1] comes from _refine_cylinder; the maps
+    Each word's image of [0,1] is refined as in _refine_cylinder; the maps
     increase and larger digits lie further left, so refining by descending
     digits keeps the cylinders sorted.  The reduced denominators q1, q2 of
     an interval's ends satisfy q1 * q2 >= W, so the word repeating the
@@ -145,9 +145,11 @@ def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> list[tuple
         raise InputError(
             f"level {level} has an interval end with more than {limit} digits, "
             f"the int-to-str digit limit")
+    # _refine_cylinder inlined, with each digit's factors formed once.
+    factors = [(d, d - 1, d * (d - 1)) for d in reversed(ds)]
     cylinders = [(0, 1)]
     for _ in range(level):
-        cylinders = [_refine_cylinder(a, w, d) for a, w in cylinders for d in reversed(ds)]
+        cylinders = [(m * (d * a + 1), q * w) for a, w in cylinders for d, m, q in factors]
     return cylinders
 
 

@@ -4,9 +4,10 @@ A random walk with step law given by the auxiliary measure first crosses
 a level t with some overshoot; for non-lattice step laws the overshoot
 law stabilises as t grows, with limiting expectation
 E_inf = integral(g * survival) / integral(survival) over the positive
-half-line.  This module samples overshoots reproducibly, drawing steps
-panel by panel for the walkers still below t, and estimates the
-finite-level expectation E_t = E[g(overshoot at level t)] by Monte Carlo.
+half-line.  This module samples overshoots reproducibly, walking in runs
+of the heaviest step with one uniform per run, drawn panel by panel for
+the walkers still below t, and estimates the finite-level expectation
+E_t = E[g(overshoot at level t)] by Monte Carlo.
 Each chunk of walkers draws from its own PCG64DXSM stream, seeded by
 SeedSequence(seed mod 2^64, spawn_key=(chunk index,)); chunks are
 sampled on up to one thread each and folded in chunk order on the
@@ -37,8 +38,9 @@ from .ifs import DEFAULT_WORD_CAP
 # Fixed Monte Carlo chunk; the sample stream is a pure function of
 # (seed, chunk index), so totals do not depend on scheduling.
 _CHUNK = 1 << 16
-# Steps taken at a time by the walkers that have not crossed yet.
-_PANEL = 4
+# Runs drawn at a time by the walkers that have not crossed yet; at
+# least 3, as the walkers that cross reuse three rows of a slot's ``runs``.
+_PANEL = 3
 
 
 @dataclass(frozen=True)
@@ -110,24 +112,21 @@ def _check_walk(lam: AuxiliaryMeasure, t: float, walkers: int, cap: int) -> None
 class _Slot:
     """Work arrays of one chunk in flight, for up to ``size`` walkers.
 
-    The panel of uniforms becomes the panel of walk positions in place;
-    the atom indices, mask and crossing rows serve one panel row at a
-    time.  The walkers still below t and their positions alternate
-    between two buffers each, starting from ``index`` and zero.  That is
-    97 bytes per walker (6 MB for a full chunk), allocated once by the
-    calling thread: temporaries made on a worker would go to that
-    thread's malloc arena, which keeps them after they are freed.
+    ``ends`` holds a row of positions carried into the panel and one row
+    per run of the panel: the uniforms are drawn into those rows and
+    become the run ends in place.  ``runs`` holds the steps of d in each
+    run, ``work`` serves one row at a time, and ``mask`` flags the
+    walkers that crossed.  That is 65 bytes per walker (4.3 MB for a
+    full chunk), allocated once by the calling thread: temporaries made
+    on a worker would go to that thread's malloc arena, which keeps them
+    after they are freed.
     """
 
     def __init__(self, size: int) -> None:
-        self.panel = np.empty(_PANEL * size)
-        self.atom = np.empty(size, dtype=np.intp)
+        self.ends = np.empty((_PANEL + 1) * size)
+        self.runs = np.empty(_PANEL * size)
+        self.work = np.empty(size)
         self.mask = np.empty(size, dtype=bool)
-        self.first = np.empty(size)
-        self.row = np.empty(size)
-        self.index = np.arange(size)
-        self.live = (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
-        self.pos = (np.empty(size), np.empty(size))
 
 
 def _chunk_overshoots(
@@ -143,62 +142,128 @@ def _chunk_overshoots(
 
     The chunk's uniforms come from a PCG64DXSM generator seeded by
     SeedSequence(seed mod 2^64, spawn_key=(chunk_index,)), numpy's
-    construction for independent parallel streams.  Walkers below t take
-    _PANEL steps per ``rng.random((_PANEL, live))`` draw, entry [j, i]
-    being step j of live walker i, so none draws past the panel in which
-    it crosses.  u reads as the atom that counts the cumulative masses
-    <= u, the last one excluded.  Every array but the small index lists
-    of each panel lives in ``slot`` and ``out``, so a worker thread
-    allocates next to nothing.  Indices are always in range; mode="clip"
-    only keeps ``take`` from buffering its output.
+    construction for independent parallel streams.  A walker moves in
+    runs of steps of the heaviest atom d (the first of largest mass
+    p_d), each closed by one step of another atom.  Walkers below t take
+    _PANEL runs per ``rng.random((_PANEL, live))`` draw, entry [j, i]
+    being run j of live walker i, so none draws past the panel in which
+    it crosses.  Their overshoots fill ``out`` in the order they cross:
+    panel by panel, and by column within a panel.
+
+    A uniform u gives X = log(u) / log(p_d), with numpy's float64 log of
+    the whole panel: the run takes G = floor(X) steps of d, a geometric
+    count, and u = 0 gives X = inf, a run that surely crosses.  For a
+    single atom log(p_d) is taken as -0.0, so its one run never closes.
+    The closing atom is the other atom of two; among K >= 3 it is the
+    one that counts the cuts <= X - G, with cuts log(1 - C_c * (1 -
+    p_d)) / log(p_d) for the cumulative masses C_c of the other atoms
+    given that the step is not d, the last one excluded.  X is
+    exponential and memoryless, so X - G is independent of G, with
+    P(X - G <= f) = (1 - p_d^f) / (1 - p_d); each run takes one uniform
+    whatever the law, and at least one step, so _check_walk's bound on
+    the steps also bounds the uniforms.
+
+    A run from ``begin`` ends at (begin + G * l_d) + l_close, and a
+    walker crosses t in the first run whose end reaches t: at
+    begin + k * l_d for the least k >= 1 with that position >= t, if
+    k <= G, and at the run's end otherwise.  k is counted up from
+    ceil((t - begin) / l_d) - 1, at most twice.  The overshoot is that
+    position minus t.  Every array but the two index lists of each
+    panel lives in ``slot`` and ``out``, so a worker thread allocates
+    little.  Indices are always in range; mode="clip" only keeps
+    ``take`` from buffering its output.
     """
     slot = _Slot(count) if slot is None else slot
     out = np.empty(count) if out is None else out
     locs = np.array(lam.locations)
-    probs = np.array(lam.masses)
-    cdf = (probs / probs.sum()).cumsum()
-    cdf /= cdf[-1]
+    masses = np.array(lam.masses)
+    d = int(masses.argmax())
+    l_d = float(locs[d])
+    others = np.delete(locs, d)
+    close = float(others[0]) if len(others) else 0.0
+    log_p = np.log(masses[d]) if len(others) else -0.0
+    cuts = []
+    if len(others) > 1:
+        rest = np.delete(masses, d).cumsum()
+        cuts = (np.log(1.0 - rest[:-1] / rest[-1] * (1.0 - masses[d])) / log_p).tolist()
     rng = np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(chunk_index,))))
-    live, pos = slot.index[:count], slot.pos[0][:count]
-    pos.fill(0.0)
-    flip = 1
-    while len(live):
-        n = len(live)
-        walk = slot.panel[:_PANEL * n].reshape(_PANEL, n)
-        rng.random(out=walk)
-        atom, mask = slot.atom[:n], slot.mask[:n]
-        for row in walk:
-            # A single atom's cdf[0] is exactly 1.0, which no u reaches.
-            np.greater_equal(row, cdf[0], out=atom)
-            for c in cdf[1:-1]:
-                np.add(atom, np.greater_equal(row, c, out=mask), out=atom)
-            locs.take(atom, out=row, mode="clip")
-        # Row after row from the carried position (faster than cumsum).
-        walk[0] += pos
-        for j in range(1, _PANEL):
-            np.add(walk[j - 1], walk[j], out=walk[j])
-        crossed = np.greater_equal(walk[-1], t, out=mask)
-        hits = np.flatnonzero(crossed)
-        if not len(hits):
-            np.copyto(pos, walk[-1])
-            continue
-        keep = np.flatnonzero(np.logical_not(crossed, out=mask))
-        # Partial sums increase, so the first one >= t is the least: the
-        # last row, overwritten by each earlier row that is >= t.
-        k = len(hits)
-        first, row, reached = slot.first[:k], slot.row[:k], slot.mask[:k]
-        walk[-1].take(hits, out=first, mode="clip")
-        for j in range(_PANEL - 2, -1, -1):
-            walk[j].take(hits, out=row, mode="clip")
-            np.copyto(first, row, where=np.greater_equal(row, t, out=reached))
-        np.subtract(first, t, out=first)
-        out[live.take(hits, out=slot.atom[:k], mode="clip")] = first
-        live = live.take(keep, out=slot.live[flip][:len(keep)], mode="clip")
-        pos = walk[-1].take(keep, out=slot.pos[flip][:len(keep)], mode="clip")
-        flip ^= 1
-        # Only these two lists are allocated per panel; none outlives it.
-        del hits, keep
+    n, done = count, 0
+    slot.ends[:n].fill(0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while n:
+            flat_ends, flat_runs = slot.ends[:(_PANEL + 1) * n], slot.runs[:_PANEL * n]
+            ends, runs = flat_ends.reshape(_PANEL + 1, n), flat_runs.reshape(_PANEL, n)
+            work, mask = slot.work[:n], slot.mask[:n]
+            drawn = ends[1:]
+            rng.random(out=drawn)
+            np.log(drawn, out=drawn)
+            np.divide(drawn, log_p, out=drawn)
+            np.floor(drawn, out=runs)
+            for j in range(1, _PANEL + 1):
+                x, g = ends[j], runs[j - 1]
+                if cuts:
+                    np.subtract(x, g, out=x)
+                    atom = work.view(np.intp)
+                    np.greater_equal(x, cuts[0], out=atom)
+                    for c in cuts[1:]:
+                        np.add(atom, np.greater_equal(x, c, out=mask), out=atom)
+                    others.take(atom, out=x, mode="clip")
+                    np.multiply(g, l_d, out=work)
+                    np.add(work, ends[j - 1], out=work)
+                    np.add(work, x, out=x)
+                else:
+                    np.multiply(g, l_d, out=x)
+                    np.add(x, ends[j - 1], out=x)
+                    np.add(x, close, out=x)
+            crossed = np.greater_equal(ends[-1], t, out=mask)
+            hits = np.flatnonzero(crossed)
+            m = len(hits)
+            if not m:
+                np.copyto(ends[0], ends[-1])
+                continue
+            keep = np.flatnonzero(np.logical_not(crossed, out=mask))
+            # The m crossing walkers' overshoots go to ``shot``, the next m
+            # entries of ``out``, which serve as a work row until then.
+            # Each one crosses in the run after those of its runs that end
+            # below t; ``at`` indexes that run's start in ``flat_ends`` and
+            # its steps of d in ``runs``, and ``after_d`` is the position
+            # after those steps.
+            shot, at, below = out[done:done + m], work.view(np.intp)[:m], mask[:m]
+            at.fill(0)
+            for j in range(1, _PANEL):
+                np.less(ends[j].take(hits, out=shot, mode="clip"), t, out=below)
+                np.add(at, below, out=at)
+            np.multiply(at, n, out=at)
+            np.add(at, hits, out=at)
+            after_d = flat_runs.take(at, out=shot, mode="clip")
+            # ``runs`` is read; its first 3m entries serve as work rows.
+            begin, pt, k = (slot.runs[i * m:(i + 1) * m] for i in range(3))
+            flat_ends.take(at, out=begin, mode="clip")
+            np.multiply(after_d, l_d, out=after_d)
+            np.add(after_d, begin, out=after_d)
+            # The least k with begin + k * l_d >= t: from ceil((t - begin)
+            # / l_d) - 1, one up where the position falls short, twice.
+            np.subtract(t, begin, out=k)
+            np.divide(k, l_d, out=k)
+            np.ceil(k, out=k)
+            np.subtract(k, 1.0, out=k)
+            for _ in range(2):
+                np.multiply(k, l_d, out=pt)
+                np.add(pt, begin, out=pt)
+                np.add(k, np.less(pt, t, out=below), out=k)
+            np.multiply(k, l_d, out=pt)
+            np.add(pt, begin, out=pt)
+            np.greater_equal(after_d, t, out=below)
+            np.add(at, n, out=at)
+            flat_ends.take(at, out=shot, mode="clip")
+            np.copyto(shot, pt, where=below)
+            np.subtract(shot, t, out=shot)
+            done += m
+            n -= m
+            ends[-1].take(keep, out=slot.ends[:n], mode="clip")
+            # Only these two lists are allocated per panel; none outlives it.
+            del hits, keep
     return out
 
 
@@ -397,11 +462,12 @@ def renewal_expectation_mc(
 
     Samples are generated in fixed-size chunks keyed by (seed, chunk
     index), so results are bit-reproducible for a given seed and sample
-    count; within a chunk, walkers draw steps panel by panel until they
-    cross t.  The standard error is sqrt(var(g) / n) with the scalar
-    variance of the complex values.  A lattice step law never forgets its
-    phase, so the estimate need not approach the limit there; that case
-    is flagged on the result and raises a warning.
+    count; within a chunk, the walkers below t draw one uniform per run
+    of the heaviest step, panel by panel, until they cross t.  The
+    standard error is sqrt(var(g) / n) with the scalar variance of the
+    complex values.  A lattice step law never forgets its phase, so the
+    estimate need not approach the limit there; that case is flagged on
+    the result and raises a warning.
 
     No walker needs more than ceil(t / smallest step) + 2 steps; that
     length times the walkers of one chunk is checked against ``cap``
@@ -410,7 +476,7 @@ def renewal_expectation_mc(
 
     Up to ``threads`` chunks, and never more than the CPUs this process
     may use (the default), are sampled at once on a thread pool, each
-    with about 6 MB of work arrays; ``g`` is applied on the calling
+    with about 4.3 MB of work arrays; ``g`` is applied on the calling
     thread in chunk order, so the result is the same for every thread
     count and ``g`` need not be thread-safe.
     """

@@ -3,13 +3,13 @@
 Everything here is written against the plain mathematical definitions,
 avoiding the code paths under test: breadth-first enumeration instead of
 the library's depth-first stack, an infinite-product formula for the
-Cantor transform, a binomial lattice recursion for overshoot laws, sine
-and cosine integrals for the stationary overshoot limit, exact
+Cantor transform, multinomial weights over count vectors for overshoot
+laws, sine and cosine integrals for the stationary overshoot limit, exact
 Fraction arithmetic for series values, a sum of multinomial
 coefficients over count vectors for stopping-family sizes, and exact
 integer k-th roots for perfect powers.  The overshoot
 sampler's panel stream is restated as a loop over walkers and their
-steps.  Six oracles are earlier versions of library code kept as
+runs.  Six oracles are earlier versions of library code kept as
 references: compose_word, which composes a word in orbit order, the
 row-by-row diagonal sweep, the regularity scan over every symbol
 multiset, the Fraction refinement of Luroth cylinder intervals, the
@@ -23,6 +23,7 @@ import bisect
 import cmath
 import csv
 import io
+import itertools
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -117,40 +118,59 @@ def lattice_family_size(ratios, t: float) -> int:
     return size
 
 
-def panel_overshoots(lam, t: float, seed: int, chunk_index: int, count: int,
-                     panel: int) -> np.ndarray:
-    """Overshoots of one sample chunk, walked one walker and one step at a time.
+def run_overshoots(lam, t: float, seed: int, chunk_index: int, count: int,
+                   panel: int) -> np.ndarray:
+    """Overshoots of one sample chunk, walked one walker and one run at a time.
 
     The chunk's PCG64DXSM stream, seeded by SeedSequence(seed mod 2^64,
     spawn_key=(chunk_index,)), yields one ``random((panel, live))`` block
-    per round; column i holds the next ``panel`` steps of the i-th walker
-    still below t.  A uniform u picks the atom bisect_right(cumulative
-    masses but the last, u), and each walker adds its steps one by one
-    until its position reaches t.
+    per round; column i holds the next ``panel`` runs of the i-th walker
+    still below t, and the overshoots come out in the order the walkers
+    cross, round by round.  d is the first atom of largest mass p_d, and
+    X = log(u) / log(p_d) is formed from numpy's log of the whole block
+    (libm's log differs in last bits).  A run is floor(X) steps of d
+    closed by one step of the other atom of bisect_right(cuts, frac(X)),
+    and a walker crosses in the first run whose end reaches t: at the
+    first of its steps of d to reach t, found by stepping k = 1, 2, ...,
+    or at its end.
     """
     locs = [float(v) for v in lam.locations]
-    probs = np.array(lam.masses)
-    cdf = np.cumsum(probs / probs.sum())
-    cdf /= cdf[-1]
-    bounds = cdf[:-1].tolist()
+    masses = [float(m) for m in lam.masses]
+    d = masses.index(max(masses))
+    step = locs[d]
+    others = locs[:d] + locs[d + 1:]
+    rest = list(itertools.accumulate(masses[:d] + masses[d + 1:]))
+    log_p = np.log(masses[d]) if others else -0.0
+    cuts = (np.log(1.0 - np.array(rest[:-1]) / rest[-1] * (1.0 - masses[d]))
+            / log_p).tolist() if others else []
     rng = np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(chunk_index,))))
-    pos = [0.0] * count
-    out = np.empty(count)
-    live = list(range(count))
+    out = []
+    live = [0.0] * count
     while live:
-        columns = rng.random((panel, len(live))).T.tolist()
+        with np.errstate(divide="ignore"):
+            logs = np.log(rng.random((panel, len(live))))
         below = []
-        for walker, steps in zip(live, columns):
-            for u in steps:
-                pos[walker] += locs[bisect.bisect_right(bounds, u)]
-                if pos[walker] >= t:
-                    out[walker] = pos[walker] - t
+        for begin, row in zip(live, logs.T.tolist()):
+            for log_u in row:
+                x = log_u / log_p if log_p else math.inf
+                heavy = math.floor(x) if x < math.inf else math.inf
+                close = others[bisect.bisect_right(cuts, x - heavy)] if heavy < math.inf else 0.0
+                last = begin + heavy * step
+                end = last + close
+                if end >= t:
+                    if last >= t:
+                        k = 1
+                        while begin + k * step < t:
+                            k += 1
+                        end = begin + k * step
+                    out.append(end - t)
                     break
+                begin = end
             else:
-                below.append(walker)
+                below.append(begin)
         live = below
-    return out
+    return np.array(out)
 
 
 def rowwise_diagonal_sweep(lo, hi, mass, delta: float) -> tuple[float, float]:
@@ -190,30 +210,48 @@ def cantor_product_transform(xi: float, terms: int) -> tuple[complex, float]:
     return value, 2.0 * math.pi * abs(xi) * 3.0 ** (-terms)
 
 
-def overshoot_expectation_dp(locations, masses, t: float, g) -> complex:
-    """Exact first-passage expectation for a two-atom random walk.
+def overshoot_law(locations, masses, t: float) -> list[tuple[float, float]]:
+    """Exact first-passage overshoot law of a K-atom random walk, as atoms.
 
-    The walk takes step locations[0] with probability masses[0] and
-    locations[1] otherwise.  A state reached after i steps of the first
-    kind and j of the second has position i*l1 + j*l2 and is visited with
-    probability C(i+j, i) * p1^i * p2^j.  Summing the stopping transitions
-    out of every sub-threshold state gives E[g(overshoot at level t)].
+    The walk takes step locations[k] with probability masses[k].  A state
+    reached with n_k steps of kind k has position sum_k n_k * l_k,
+    summed in atom order, and is visited with probability
+    multinomial(n; n_1, ..., n_K) * prod_k p_k^n_k.  Each step out of a
+    sub-threshold state that reaches t gives an atom (overshoot, visit *
+    p_k).  States come in lexicographic order of their count vectors and
+    steps in atom order, so with two atoms this is the binomial lattice
+    of i steps of the first kind and j of the second.
     """
-    l1, l2 = locations
-    p1, p2 = masses
+    locs, probs = list(locations), list(masses)
+    law: list[tuple[float, float]] = []
+
+    def visit(counts: list[int], pos: float) -> None:
+        if len(counts) < len(locs):
+            loc, n = locs[len(counts)], 0
+            while pos + n * loc < t:
+                visit(counts + [n], pos + n * loc)
+                n += 1
+            return
+        weight = 1
+        total = 0
+        for n in counts:
+            total += n
+            weight *= math.comb(total, n)
+        for n, p in zip(counts, probs):
+            weight *= p ** n
+        for loc, p in zip(locs, probs):
+            if pos + loc >= t:
+                law.append((pos + loc - t, weight * p))
+
+    visit([], 0.0)
+    return law
+
+
+def overshoot_expectation_dp(locations, masses, t: float, g) -> complex:
+    """Exact E[g(overshoot at level t)] of a K-atom random walk, from overshoot_law."""
     total = 0j
-    i = 0
-    while i * l1 < t:
-        j = 0
-        while i * l1 + j * l2 < t:
-            pos = i * l1 + j * l2
-            visit = math.comb(i + j, i) * (p1 ** i) * (p2 ** j)
-            if pos + l1 >= t:
-                total += visit * p1 * complex(g(pos + l1 - t))
-            if pos + l2 >= t:
-                total += visit * p2 * complex(g(pos + l2 - t))
-            j += 1
-        i += 1
+    for z, w in overshoot_law(locations, masses, t):
+        total += w * complex(g(z))
     return total
 
 

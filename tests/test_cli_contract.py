@@ -119,12 +119,12 @@ EXPECTED = {
                 '97edf64ce8c62aa7171b2daa01545395efddaab57f9d75307812a9e8e922ab42',
         }),
     'renewal': (
-        'renewal t=10 mc_re=0.48717730859880692 mc_im=-0.77979414152954984'
-        ' stderr=0.0087914551361710069 limit_re=0.42179233029839963'
+        'renewal t=10 mc_re=0.49032644966904954 mc_im=-0.76850553585128067'
+        ' stderr=0.0091918228366543522 limit_re=0.42179233029839963'
         ' limit_im=-0.79842214704843428 n_samples=2000 lattice=false',
         {
             'job.csv':
-                'bdc69ceba52fe3a0117e80b167451c035387434126a84e3ccde6403d38802901',
+                '850039e01d4f345875674c77da4019b2c8c7fbf7e9f9e2b065657be4067d5304',
         }),
     'weights': (
         'weights dim=0.63092975357145731 weights=0.5,0.5',

@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from conftest import random_disjoint_ifs
-from oracles import overshoot_expectation_dp, panel_overshoots, stationary_phase_expectation
+from oracles import (
+    overshoot_expectation_dp,
+    overshoot_law,
+    run_overshoots,
+    stationary_phase_expectation,
+)
 from selfsim import (
     InputError,
     PreconditionError,
@@ -227,14 +233,17 @@ def test_chunk_sizes_are_not_listed_before_the_first_draw(luroth_lambda):
 
 
 # Step laws for the sampler identity: Luroth systems with two to eight
-# digits, the 9/10 walk (small steps, long walks) and a single map.  The
-# identity tests check the panel reference; their names date from the
-# stream's earlier Generator.choice reference.
+# digits, the 9/10 walk (small steps, long walks), four maps of equal
+# weight (the heaviest atom is the first of a tie) and a single map.  The
+# identity tests check the run-by-run reference; their names date from
+# the stream's earlier Generator.choice reference.
 SAMPLER_SPECS = {
     "luroth23": '{"luroth": [2, 3]}',
     "luroth2-9": '{"luroth": [2, 3, 4, 5, 6, 7, 8, 9]}',
     "luroth2357": '{"luroth": [2, 3, 5, 7]}',
     "ninety": '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}',
+    "equal4": '{"maps": [["1/2", "0"], ["1/5", "1/2"], ["1/7", "7/10"], ["1/8", "17/20"]],'
+              ' "weights": ["1/4", "1/4", "1/4", "1/4"]}',
     "single": '{"maps": [["1/2", "1/4"]]}',
 }
 
@@ -245,13 +254,13 @@ def test_chunk_overshoots_match_choice_sampler(name, t):
     lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
     for chunk_index in (0, 7):
         for count in (1, 999):
-            want = panel_overshoots(lam, t, 42, chunk_index, count, _PANEL)
+            want = run_overshoots(lam, t, 42, chunk_index, count, _PANEL)
             got = _chunk_overshoots(lam, t, 42, chunk_index, count)
             assert np.array_equal(got, want), (name, t, chunk_index, count)
 
 
 def test_chunk_overshoots_match_choice_sampler_for_a_full_chunk(luroth_lambda):
-    want = panel_overshoots(luroth_lambda, 30.0, 42, 3, _CHUNK, _PANEL)
+    want = run_overshoots(luroth_lambda, 30.0, 42, 3, _CHUNK, _PANEL)
     assert np.array_equal(_chunk_overshoots(luroth_lambda, 30.0, 42, 3, _CHUNK), want)
 
 
@@ -261,7 +270,7 @@ def test_chunk_overshoots_match_choice_sampler_with_many_atoms():
     ifs = WeightedIFS(tuple(range(300)), maps, tuple([1 / 300] * 300))
     lam = auxiliary_measure(ifs)
     got = _chunk_overshoots(lam, 20.0, 3, 1, 999)
-    assert np.array_equal(got, panel_overshoots(lam, 20.0, 3, 1, 999, _PANEL))
+    assert np.array_equal(got, run_overshoots(lam, 20.0, 3, 1, 999, _PANEL))
 
 
 # The first uniforms of two chunk streams, keyed by (seed mod 2^64, chunk
@@ -285,17 +294,17 @@ def test_chunk_stream_is_pinned(luroth_lambda):
     # The seed -5 is the key 2^64 - 5.
     assert np.array_equal(_chunk_overshoots(luroth_lambda, 30.0, -5, 3, 999),
                           _chunk_overshoots(luroth_lambda, 30.0, 2 ** 64 - 5, 3, 999))
-    assert sample_overshoot(luroth_lambda, 30.0, seed=11) == 1.4928562310276554
+    assert sample_overshoot(luroth_lambda, 30.0, seed=11) == 0.22434490556416264
 
 
-# The reference walks one step at a time in Python, so counts stay small.
+# The reference walks one run at a time in Python, so counts stay small.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.05, 40.0),
        chunk_index=st.integers(0, 2 ** 20), count=st.integers(1, 500))
 def test_chunk_overshoots_match_choice_sampler_property(seed, t, chunk_index, count):
     lam = auxiliary_measure(random_disjoint_ifs(np.random.default_rng(seed)))
     assert np.array_equal(_chunk_overshoots(lam, t, seed, chunk_index, count),
-                          panel_overshoots(lam, t, seed, chunk_index, count, _PANEL))
+                          run_overshoots(lam, t, seed, chunk_index, count, _PANEL))
 
 
 def test_renewal_mc_matches_exact_law_for_the_ninety_walk():
@@ -304,6 +313,71 @@ def test_renewal_mc_matches_exact_law_for_the_ninety_walk():
     want = overshoot_expectation_dp(lam.locations, lam.masses, 30.0, g)
     result = renewal_expectation_mc(lam, g, 30.0, n_samples=200_000, seed=8)
     assert abs(result.mc_estimate - want) <= 4.0 * result.mc_stderr
+
+
+def test_crossing_step_is_the_least_that_reaches_t():
+    # One map of ratio 1/2: the overshoot is k * log 2 - t for the least k
+    # with k * log 2 >= t in floats.  At t = 29 log 2 the ceil of t / log 2
+    # is one too many, and just above 33 log 2 it is one too few.
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["single"]).ifs)
+    step = lam.locations[0]
+    for t in (29 * step, math.nextafter(33 * step, math.inf)):
+        k = 1
+        while k * step < t:
+            k += 1
+        assert math.ceil(t / step) != k
+        assert sample_overshoot(lam, t, seed=1) == k * step - t
+
+
+def test_renewal_mc_matches_exact_law_with_four_atoms():
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["luroth2357"]).ifs)
+    g = phase_test_function(0.3)
+    want = overshoot_expectation_dp(lam.locations, lam.masses, 12.0, g)
+    result = renewal_expectation_mc(lam, g, 12.0, n_samples=200_000, seed=12)
+    assert abs(result.mc_estimate - want) <= 4.0 * result.mc_stderr
+
+
+def _binned_law(law, bins):
+    """Bin edges of an atomic law, each bin holding at least 1/bins of its mass.
+
+    Atoms within 1e-9 of each other are one group, and edges sit at the
+    midpoints of the gaps between groups, far beyond the rounding that
+    separates a sampled overshoot from the exact atom it stands for.
+    Groups fill a bin in order until it holds 1/bins of the mass; a short
+    last bin joins the one before it.
+    """
+    law = sorted(law)
+    edges, probs, mass = [], [], 0.0
+    for (z, w), (after, _) in zip(law, law[1:]):
+        mass += w
+        if mass >= 1.0 / bins and after - z > 1e-9:
+            edges.append(0.5 * (z + after))
+            probs.append(mass)
+            mass = 0.0
+    mass += law[-1][1]
+    if mass < 1.0 / bins:
+        edges.pop()
+        probs[-1] += mass
+    else:
+        probs.append(mass)
+    return np.array(edges), np.array(probs)
+
+
+@pytest.mark.parametrize("name, t", [("ninety", 30.0), ("luroth23", 30.0),
+                                     ("luroth2357", 12.0), ("equal4", 12.0)])
+def test_chunk_overshoots_follow_the_exact_law(name, t):
+    # Sixteen chunks binned against the exact overshoot law, in up to 30
+    # bins; the chi-squared statistic must stay below its 0.999 quantile:
+    # 45.31 with 21 bins (ninety), 34.53 with 14 (luroth23) and 48.27 with
+    # 23 (luroth2357 and equal4).
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
+    edges, probs = _binned_law(overshoot_law(lam.locations, lam.masses, t), 30)
+    assert len(probs) >= 10
+    samples = np.concatenate([_chunk_overshoots(lam, t, 26, i, _CHUNK) for i in range(16)])
+    counts = np.bincount(np.searchsorted(edges, samples), minlength=len(probs))
+    expected = len(samples) * probs
+    stat = float(np.sum((counts - expected) ** 2 / expected))
+    assert stat < chi2.ppf(0.999, len(probs) - 1), (name, len(probs), stat)
 
 
 def test_walk_length_is_capped_before_drawing(luroth_lambda):
