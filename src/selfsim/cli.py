@@ -337,12 +337,10 @@ def _regularity(args, spec):
     report = regularity_scan(spec.ifs, args.depth, cap=args.cap)
     summary = {
         "alpha_hat": report.alpha_hat,
-        "prefactor": report.prefactor,
-        "min_scale": report.min_scale,
         "interval_constant": report.interval_constant,
         "depth": report.depth,
     }
-    return summary, {"main": (["level", "min_exponent", "max_exponent"], list(report.rows))}
+    return summary, {"main": (["level", "min_exponent", "max_exponent"], report.rows)}
 
 
 def _diagonal(args, spec):

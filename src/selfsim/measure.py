@@ -4,14 +4,13 @@ The measure assigns each cylinder its word's weight product.  Interval
 and diagonal masses are bracketed over cylinder families built level by
 level with the one refinement step of the ifs module, so every family
 composes the maps in refinement order (see Word).  The regularity scan
-measures how cylinder mass scales with cylinder length, which is the
-exponent controlling interval masses up to an explicit constant.
+gives how cylinder mass scales with cylinder length, in closed form: the
+exponent that controls interval masses up to a constant.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,23 +69,19 @@ def interval_mass_bounds(
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Observed cylinder mass exponents level by level.
+    """Cylinder mass exponents, the same on every level.
 
     ``rows`` holds (level, min_exponent, max_exponent) for the exponent
-    log(mass)/log(length) over all words of that level.  ``alpha_hat`` is
-    the smallest deepest-level exponent clamped to [0,1]; cylinder masses
-    then satisfy mass <= prefactor * length^alpha_hat over the scanned
-    range, and interval masses inherit the same exponent up to the factor
-    ``interval_constant`` = max(ratio^-alpha_hat) * alphabet size for
-    intervals no shorter than ``min_scale``.  Each extreme is attained by
-    a word repeating one symbol (see regularity_scan).
+    log(mass)/log(length) over all words of that level, and ``alpha_hat``
+    is the smallest of them: every cylinder has mass <= length^alpha_hat.
+    ``interval_constant`` = max(ratio^-alpha_hat) * alphabet size is
+    offered as C in mass(I) <= C * length(I)^alpha_hat for intervals I,
+    a bound that has no proof here.
     """
 
     depth: int
     alpha_hat: float
     rows: tuple[tuple[int, float, float], ...]
-    prefactor: float
-    min_scale: float
     interval_constant: float
 
 
@@ -95,38 +90,27 @@ def regularity_scan(
     depth: int,
     cap: int = DEFAULT_WORD_CAP,
 ) -> RegularityReport:
-    """Scan cylinder mass exponents down to the given level.
+    """Cylinder mass exponents of levels 1..depth, in closed form.
 
     A word with symbol counts c has the exponent sum c_k log p_k over
-    sum c_k log r_k, a ratio of linear forms with a negative denominator.
-    On one level (sum c = n) it takes its min and max at a vertex n*e_k,
-    as does the linear log(mass) - alpha*log(length) that sets the
-    prefactor, and the shortest cylinder repeats the smallest ratio.  So
-    only the K single-symbol words of each level are evaluated, and the
-    ``depth`` rows built are checked against ``cap`` first.
+    sum c_k log r_k, a mediant of the quotients log p_k / log r_k, whose
+    denominators are all negative.  So on every level its min and max
+    are the least and greatest of those K quotients, and the ``depth``
+    rows, checked against ``cap`` first, share the two floats.  Both
+    are taken as +0.0 where a weight of 1 makes them -0.0.
     """
     if depth < 1:
         raise InputError(f"scan depth must be at least 1, got {depth!r}")
     _require_disjoint(ifs)
     if depth > cap:
         raise ResourceCapError(f"regularity scan needs {depth} rows, cap={cap}")
-    logs = [(math.log(m.ratio), math.log(w)) for m, w in zip(ifs.maps, ifs.weights)]
-    # (log length, log mass) of the single-symbol words n*e_k, level by level.
-    vertices = [[(n * lr, n * lp) for lr, lp in logs] for n in range(1, depth + 1)]
-    rows = tuple((n, min(lp / lr for lr, lp in level), max(lp / lr for lr, lp in level))
-                 for n, level in enumerate(vertices, start=1))
-    alpha_hat = min(1.0, max(0.0, rows[-1][1]))
-    # Prefactor: largest mass / length^alpha_hat over the scan.
-    prefactor = max(math.exp(lp - alpha_hat * lr) for level in vertices for lr, lp in level)
-    interval_constant = max(m.ratio ** -alpha_hat for m in ifs.maps) * ifs.size
+    exponents = [math.log(w) / math.log(m.ratio) for m, w in zip(ifs.maps, ifs.weights)]
+    alpha, top = min(exponents) + 0.0, max(exponents) + 0.0
     return RegularityReport(
         depth=depth,
-        alpha_hat=alpha_hat,
-        rows=rows,
-        prefactor=max(prefactor, 1.0),
-        # Rounded up to the least normal float, so an underflow never reads as 0.
-        min_scale=max(math.exp(depth * min(lr for lr, _ in logs)), sys.float_info.min),
-        interval_constant=interval_constant,
+        alpha_hat=alpha,
+        rows=tuple((n, alpha, top) for n in range(1, depth + 1)),
+        interval_constant=max(m.ratio ** -alpha for m in ifs.maps) * ifs.size,
     )
 
 

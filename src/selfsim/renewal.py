@@ -92,20 +92,30 @@ class RenewalResult:
 
 
 def _check_walk(lam: AuxiliaryMeasure, t: float, walkers: int, cap: int) -> None:
-    """Reject a bad level, or a chunk whose step draws could exceed ``cap``.
+    """Reject a bad level, or a chunk whose uniforms could exceed ``cap``.
 
-    No walker needs more than ceil(t / smallest step) + 2 steps, so that
-    length times the walkers of one chunk bounds the draws of the chunk.
+    A walker draws one uniform per run of steps of the heaviest atom d
+    (see _chunk_overshoots), in panels of _PANEL runs.  Each run that ends
+    below t closes with a step of another atom, of length at least l_c,
+    the least location but d's; so the j runs before the crossing one
+    have j * l_c < t, and the crossing run is at most the ceil(t / l_c)-th.
+    Rounding up to whole panels, no walker draws more than ceil(t / l_c)
+    + _PANEL - 1 uniforms; one more is allowed for the rounding of the
+    float positions.  A single atom's run never closes, so its walkers
+    draw one panel.  That bound times the walkers of one chunk bounds the
+    uniforms of the chunk.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise InputError(f"crossing level must be positive and finite, got {t!r}")
-    bound = t / min(lam.locations)
+    d = lam.masses.index(max(lam.masses))
+    others = lam.locations[:d] + lam.locations[d + 1:]
+    bound = t / min(others) if others else 0.0
     # Rounded only when finite: the bound overflows to inf for a huge t.
-    steps = math.ceil(bound) + 2 if math.isfinite(bound) else bound
-    draws = steps * min(walkers, _CHUNK)
+    uniforms = math.ceil(bound) + _PANEL if math.isfinite(bound) else bound
+    draws = uniforms * min(walkers, _CHUNK)
     if draws > cap:
         raise ResourceCapError(
-            f"renewal walk needs {steps} steps per walker, {draws} step draws "
+            f"renewal walk needs {uniforms} uniforms per walker, {draws} uniform draws "
             f"per chunk, cap={cap}")
 
 
@@ -160,8 +170,7 @@ def _chunk_overshoots(
     given that the step is not d, the last one excluded.  X is
     exponential and memoryless, so X - G is independent of G, with
     P(X - G <= f) = (1 - p_d^f) / (1 - p_d); each run takes one uniform
-    whatever the law, and at least one step, so _check_walk's bound on
-    the steps also bounds the uniforms.
+    whatever the law, which _check_walk bounds.
 
     A run from ``begin`` ends at (begin + G * l_d) + l_close, and a
     walker crosses t in the first run whose end reaches t: at
@@ -469,10 +478,11 @@ def renewal_expectation_mc(
     estimate need not approach the limit there; that case is flagged on
     the result and raises a warning.
 
-    No walker needs more than ceil(t / smallest step) + 2 steps; that
-    length times the walkers of one chunk is checked against ``cap``
-    before any draw, so the work per chunk stays bounded and the chunk
-    count grows linearly with ``n_samples``.
+    No walker draws more than ceil(t / l_c) + 3 uniforms, l_c being the
+    least step but the heaviest atom's (3 for a single atom); that count
+    times the walkers of one chunk is checked against ``cap`` before any
+    draw, so the work per chunk stays bounded and the chunk count grows
+    linearly with ``n_samples``.
 
     Up to ``threads`` chunks, and never more than the CPUs this process
     may use (the default), are sampled at once on a thread pool, each

@@ -5,16 +5,16 @@ avoiding the code paths under test: breadth-first enumeration instead of
 the library's depth-first stack, an infinite-product formula for the
 Cantor transform, multinomial weights over count vectors for overshoot
 laws, sine and cosine integrals for the stationary overshoot limit, exact
-Fraction arithmetic for series values, a sum of multinomial
+Fraction arithmetic for series values and for the mass exponents of
+every symbol multiset, a sum of multinomial
 coefficients over count vectors for stopping-family sizes, and exact
 integer k-th roots for perfect powers.  The overshoot
 sampler's panel stream is restated as a loop over walkers and their
-runs.  Six oracles are earlier versions of library code kept as
+runs.  Five oracles are earlier versions of library code kept as
 references: compose_word, which composes a word in orbit order, the
-row-by-row diagonal sweep, the regularity scan over every symbol
-multiset, the Fraction refinement of Luroth cylinder intervals, the
-CSV rendering of a table row by row through csv.writer, and the scaled
-resonance gap of one row.
+row-by-row diagonal sweep, the Fraction refinement of Luroth cylinder
+intervals, the CSV rendering of a table row by row through csv.writer,
+and the scaled resonance gap of one row.
 """
 
 from __future__ import annotations
@@ -304,32 +304,26 @@ def luroth_partial_sum(digits) -> tuple[Fraction, Fraction]:
 
 
 def multiset_regularity(ifs, depth: int):
-    """Regularity scan over every symbol multiset of levels 1..depth.
+    """Exact cylinder mass exponents over every symbol multiset of levels 1..depth.
 
     A word's cylinder mass and length depend only on its symbol multiset,
-    so each multiset stands for all its words.  Returns (rows, alpha_hat,
-    prefactor, min_scale) as RegularityReport defines them, with every log
-    sum taken by ``math.fsum``.
+    so each multiset stands for all its words.  Its exponent is the
+    Fraction sum of the float logs of its weights over that of the float
+    logs of its ratios, with no rounding; each level's min and max are
+    rounded once, by float().  Returns (rows, alpha_hat) as
+    RegularityReport defines them.
     """
-    log_r = [math.log(m.ratio) for m in ifs.maps]
-    log_p = [math.log(w) for w in ifs.weights]
+    logs = [Fraction(math.log(v)) for v in ifs.weights + tuple(m.ratio for m in ifs.maps)]
+    # Float logs are dyadic: over their common denominator they are integers.
+    scale = max(v.denominator for v in logs)
+    log_p = [int(v * scale) for v in logs[:ifs.size]]
+    log_r = [int(v * scale) for v in logs[ifs.size:]]
     rows = []
-    scanned = []
-    min_scale = 1.0
     for level in range(1, depth + 1):
-        lo_ratio = math.inf
-        hi_ratio = -math.inf
-        for combo in combinations_with_replacement(range(ifs.size), level):
-            lr = math.fsum(log_r[k] for k in combo)
-            lp = math.fsum(log_p[k] for k in combo)
-            scanned.append((lr, lp))
-            lo_ratio = min(lo_ratio, lp / lr)
-            hi_ratio = max(hi_ratio, lp / lr)
-            min_scale = min(min_scale, math.exp(lr))
-        rows.append((level, lo_ratio, hi_ratio))
-    alpha_hat = min(1.0, max(0.0, rows[-1][1]))
-    prefactor = max(math.exp(lp - alpha_hat * lr) for lr, lp in scanned)
-    return tuple(rows), alpha_hat, max(prefactor, 1.0), min_scale
+        exponents = [Fraction(sum(log_p[k] for k in combo), sum(log_r[k] for k in combo))
+                     for combo in combinations_with_replacement(range(ifs.size), level)]
+        rows.append((level, float(min(exponents)), float(max(exponents))))
+    return tuple(rows), min(lo for _, lo, _ in rows)
 
 
 def luroth_cylinders(digits, level: int) -> tuple[tuple[Fraction, Fraction], ...]:

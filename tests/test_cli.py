@@ -105,13 +105,13 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and "cap" in err
     code, _, err = run(["dim"], capsys)
     assert code == 2
-    # Renewal walks are checked against --cap before any step is drawn.
+    # Renewal walks are checked against --cap before any uniform is drawn.
     code, _, err = run(["renewal", "--spec", '{"maps":[["9/10","0"],["1/20","19/20"]]}',
                         "--t", "1e8", "--samples", "100"], capsys)
-    assert code == 3 and "949122161 steps per walker" in err
+    assert code == 3 and "33380824 uniforms per walker" in err
     code, _, err = run(["renewal", "--spec", LUROTH_SPEC, "--t", "1e5",
                         "--samples", "1000000"], capsys)
-    assert code == 3 and "144272 steps per walker" in err
+    assert code == 3 and "55815 uniforms per walker" in err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -590,6 +590,15 @@ def test_dioph_scan_csv_bytes_match_the_row_writer(spec, power, b_max, tmp_path,
     table = json.loads((tmp_path / "d.json").read_text())["tables"]["main"]
     assert table["sha256"] == hashlib.sha256(data).hexdigest()
     assert table["rows"] == len(report.rows)
+
+
+def test_single_map_regularity_prints_positive_zero(tmp_path, capsys):
+    code, stdout, _ = run(["regularity", "--spec", '{"maps":[["1/2","0"]]}', "--depth", "3",
+                           "--out", str(tmp_path / "r.csv")], capsys)
+    assert code == 0 and "alpha_hat=0 " in stdout
+    # The cells would read -0 without normalising.
+    assert (tmp_path / "r.csv").read_bytes() == (
+        b"level,min_exponent,max_exponent\r\n1,0,0\r\n2,0,0\r\n3,0,0\r\n")
 
 
 def test_regularity_and_diagonal_commands(capsys):

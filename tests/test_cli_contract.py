@@ -111,12 +111,11 @@ EXPECTED = {
                 '7adc85d602d515cfb2692f20da136d4a06683801cf0c6126e24057fcce401f31',
         }),
     'regularity': (
-        'regularity alpha_hat=0.60096685161367558 prefactor=1.0000000000000004'
-        ' min_scale=0.00012860082304526758 interval_constant=5.8704731046170613'
+        'regularity alpha_hat=0.60096685161367558 interval_constant=5.8704731046170613'
         ' depth=5',
         {
             'job.csv':
-                '97edf64ce8c62aa7171b2daa01545395efddaab57f9d75307812a9e8e922ab42',
+                '7511cc931d1d917a6734910364b51de9aade782d187544882aa400f2b4740045',
         }),
     'renewal': (
         'renewal t=10 mc_re=0.49032644966904954 mc_im=-0.76850553585128067'

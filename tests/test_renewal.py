@@ -382,21 +382,36 @@ def test_chunk_overshoots_follow_the_exact_law(name, t):
 
 def test_walk_length_is_capped_before_drawing(luroth_lambda):
     g = phase_test_function(0.3)
-    # Luroth {2,3} steps are at least log 2, so t = 1e5 needs 144 272 steps
-    # per walker; a full chunk of them is about 9.5e9 step draws.
-    steps = math.ceil(1e5 / math.log(2)) + 2
-    with pytest.raises(ResourceCapError, match=f"needs {steps} steps per walker"):
+    # Luroth {2,3} runs of log-2 steps close with a log-6 step, so t = 1e5
+    # needs up to 55 815 uniforms per walker; a full chunk of them is about
+    # 3.7e9 uniform draws.
+    uniforms = math.ceil(1e5 / math.log(6)) + _PANEL
+    with pytest.raises(ResourceCapError, match=f"needs {uniforms} uniforms per walker"):
         renewal_expectation_mc(luroth_lambda, g, 1e5, n_samples=10 ** 6, seed=1)
-    # The cap counts the step draws of one chunk, not of all the samples.
-    steps = math.ceil(30.0 / math.log(2)) + 2
-    draws = steps * _CHUNK
+    # The cap counts the uniform draws of one chunk, not of all the samples.
+    uniforms = math.ceil(30.0 / math.log(6)) + _PANEL
+    draws = uniforms * _CHUNK
     renewal_expectation_mc(luroth_lambda, g, 30.0, n_samples=2 * _CHUNK, seed=1, cap=draws)
-    with pytest.raises(ResourceCapError, match=f"{draws} step draws per chunk"):
+    with pytest.raises(ResourceCapError, match=f"{draws} uniform draws per chunk"):
         renewal_expectation_mc(luroth_lambda, g, 30.0, n_samples=2 * _CHUNK, seed=1,
                                cap=draws - 1)
-    assert sample_overshoot(luroth_lambda, 30.0, seed=1, cap=steps) >= 0.0
-    with pytest.raises(ResourceCapError, match=f"cap={steps - 1}"):
-        sample_overshoot(luroth_lambda, 30.0, seed=1, cap=steps - 1)
+    assert sample_overshoot(luroth_lambda, 30.0, seed=1, cap=uniforms) >= 0.0
+    with pytest.raises(ResourceCapError, match=f"cap={uniforms - 1}"):
+        sample_overshoot(luroth_lambda, 30.0, seed=1, cap=uniforms - 1)
+    # A single atom's walkers draw one panel, whatever t is.
+    single = auxiliary_measure(parse_spec('{"maps":[["1/2","0"]]}').ifs)
+    assert sample_overshoot(single, 1e300, seed=1, cap=_PANEL) >= 0.0
+    with pytest.raises(ResourceCapError, match=f"needs {_PANEL} uniforms per walker"):
+        sample_overshoot(single, 1e300, seed=1, cap=_PANEL - 1)
+
+
+def test_ninety_walk_at_t100_fits_the_default_cap():
+    # Its runs of log(10/9) steps close with a log-20 step: 37 uniforms per
+    # walker, though a walker can need 952 steps.
+    lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["ninety"]).ifs)
+    result = renewal_expectation_mc(lam, phase_test_function(0.3), 100.0,
+                                    n_samples=200_000, seed=1)
+    assert result.n_samples == 200_000 and math.isfinite(result.mc_stderr)
 
 
 # Three full chunks and a short last one.
