@@ -141,9 +141,9 @@ def self_similarity_residual(
     The measure equals the weight combination of its images under the
     level-1 maps, so the transform at xi must match the weighted sum of
     child transforms at ratio*xi twisted by the translation phases.  Both
-    sides come from one fold over the same stopping states; the reported
-    residual is bounded by the parent error bound plus the weighted child
-    bounds.
+    sides come from one fold over the same stopping states.  Only the
+    distance |parent - weighted twisted children| is returned; the fold's
+    error bounds are neither added to it nor returned beside it.
     """
     xis = np.array([xi] + [m.ratio * xi for m in ifs.maps], dtype=float)
     values, _, _ = _family_sums(ifs, t, xis, cap)

@@ -114,6 +114,40 @@ def regularity_scan(
     )
 
 
+def _in_strip(lo, hi, i, j, delta: float) -> np.ndarray:
+    """Whether every point of cylinder i is within ``delta`` of every point of j."""
+    return np.maximum(hi[j] - lo[i], hi[i] - lo[j]) <= delta
+
+
+def _pair_sums(lo, hi, mass, delta: float, rows, ends) -> np.ndarray:
+    """For each row i, the sum of mass[j] over the j of its window in the strip.
+
+    Row i's window is i + 1 .. ends[i] - 1; its pairs are built as arrays
+    in blocks of whole rows of at most _PAIR_ENTRIES pairs (a longer row
+    alone), and each row is summed over its whole window, zeros included.
+    """
+    lengths = ends[rows] - rows - 1
+    done = np.cumsum(lengths)
+    sums = np.empty(len(rows))
+    start = 0
+    while start < len(rows):
+        base = done[start] - lengths[start]
+        stop = max(start + 1, int(np.searchsorted(done, base + _PAIR_ENTRIES, side="right")))
+        i, n = rows[start:stop], lengths[start:stop]
+        first = done[start:stop] - n - base
+        left = np.repeat(i, n)
+        right = np.arange(len(left)) - np.repeat(first - i - 1, n)
+        sums[start:stop] = np.add.reduceat(mass[right] * _in_strip(lo, hi, left, right, delta),
+                                           first)
+        start = stop
+    return sums
+
+
+def _fold(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., added one after another."""
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
+
+
 def diagonal_mass(
     ifs: WeightedIFS,
     delta: float,
@@ -128,9 +162,21 @@ def diagonal_mass(
     points feed the lower bound.  The cylinders are sorted by left end,
     one searchsorted finds the pairs within ``delta`` of each other, and
     their number is checked against ``cap`` before the sweep over them.
-    The sweep takes whole rows of pairs in blocks and adds their terms in
-    cylinder order; no BLAS reduction is involved, so the bits do not
-    depend on the BLAS thread count.
+
+    Cylinder i pairs with the window i + 1 .. ends[i] - 1 of later
+    cylinders, a contiguous run of the sorted masses, so one reduceat
+    over ``mass`` gives every row's upper sum.  When the right ends are
+    non-decreasing too, hi[j] - lo[i] grows and hi[i] - lo[j] shrinks
+    along a window, so a window whose first and last pairs lie in the
+    strip lies in it whole, and its lower sum is its upper sum.  Only the
+    other rows, or every row when the right ends are out of order
+    (overlapping maps), build arrays of their pairs.  Each window is
+    summed as one contiguous run either way, so the bits are those of a
+    sweep over every pair.  Rows go in blocks of _PAIR_ENTRIES // 8,
+    which keeps the block arrays below one block of pairs, and the row
+    terms are added one after another in cylinder order; no BLAS
+    reduction is involved, so the bits do not depend on the BLAS thread
+    count.
     """
     if not (delta > 0.0):
         raise InputError(f"strip half-width must be positive, got {delta!r}")
@@ -151,31 +197,31 @@ def diagonal_mass(
     ends = np.searchsorted(lo, hi + delta, side="right")
     later = ends - np.arange(1, count + 1)
     rows = np.flatnonzero(later > 0)
-    lengths = later[rows]
-    pairs = count + int(lengths.sum())
+    pairs = count + int(later[rows].sum())
     if pairs > cap:
         raise ResourceCapError(
             f"diagonal walk needs {pairs} level-{depth} cylinder pairs, cap={cap}")
     # Diagonal pairs: both points in one cylinder, so distance <= width.
     upper = float(np.sum(mass * mass))
     lower = float(np.sum(mass[hi - lo <= delta] ** 2))
-    done = np.cumsum(lengths)
-    start = 0
-    while start < len(rows):
-        # Whole rows of at most _PAIR_ENTRIES pairs (a longer row alone).
-        base = done[start] - lengths[start]
-        stop = max(start + 1, int(np.searchsorted(done, base + _PAIR_ENTRIES, side="right")))
-        i, n = rows[start:stop], lengths[start:stop]
-        first = done[start:stop] - n - base
-        left = np.repeat(i, n)
-        right = np.arange(len(left)) - np.repeat(first - i - 1, n)
-        m = mass[right]
-        good = np.maximum(hi[right] - lo[left], hi[left] - lo[right]) <= delta
+    # Windows are summed straight from ``mass``; its one trailing entry
+    # lets a window end at the last cylinder, and a block reads only up to
+    # its last window end.
+    padded = np.append(mass, 0.0)
+    sorted_hi = bool(np.all(hi[1:] >= hi[:-1]))
+    step = max(1, _PAIR_ENTRIES // 8)
+    for start in range(0, len(rows), step):
+        i = rows[start:start + step]
+        bounds = np.empty(2 * len(i), dtype=np.intp)
+        bounds[0::2], bounds[1::2] = i + 1, ends[i]
+        whole = np.add.reduceat(padded[:bounds.max() + 1], bounds)[::2]
+        slow = np.arange(len(i))
+        if sorted_hi:
+            slow = np.flatnonzero(~(_in_strip(lo, hi, i, i + 1, delta)
+                                    & _in_strip(lo, hi, i, ends[i] - 1, delta)))
+        part = whole.copy()
+        part[slow] = _pair_sums(lo, hi, mass, delta, i[slow], ends)
         twice = 2.0 * mass[i]
-        # Row terms are added one after another, as a loop over rows would.
-        upper = float(np.add.accumulate(
-            np.concatenate(([upper], twice * np.add.reduceat(m, first))))[-1])
-        lower = float(np.add.accumulate(
-            np.concatenate(([lower], twice * np.add.reduceat(m * good, first))))[-1])
-        start = stop
+        upper = _fold(upper, twice * whole)
+        lower = _fold(lower, twice * part)
     return (lower, upper)

@@ -10,9 +10,10 @@ every symbol multiset, a sum of multinomial
 coefficients over count vectors for stopping-family sizes, and exact
 integer k-th roots for perfect powers.  The overshoot
 sampler's panel stream is restated as a loop over walkers and their
-runs.  Five oracles are earlier versions of library code kept as
+runs.  Six oracles are earlier versions of library code kept as
 references: compose_word, which composes a word in orbit order, the
-row-by-row diagonal sweep, the Fraction refinement of Luroth cylinder
+row-by-row diagonal sweep and the blocked sweep over every cylinder
+pair that followed it, the Fraction refinement of Luroth cylinder
 intervals, the CSV rendering of a table row by row through csv.writer,
 and the scaled resonance gap of one row.
 """
@@ -194,6 +195,46 @@ def rowwise_diagonal_sweep(lo, hi, mass, delta: float) -> tuple[float, float]:
         upper += 2.0 * mass[i] * float(np.sum(mass[sl]))
         good = np.maximum(hi[sl] - lo[i], hi[i] - lo[sl]) <= delta
         lower += 2.0 * mass[i] * float(np.sum(mass[sl] * good))
+    return (lower, upper)
+
+
+def pairwise_diagonal_sweep(lo, hi, mass, delta: float,
+                            block: int = 1 << 16) -> tuple[float, float]:
+    """Diagonal-strip bracket summed over arrays of every cylinder pair.
+
+    The blocked sweep that ``diagonal_mass`` ran before it summed whole
+    windows: ``lo``, ``hi`` and ``mass`` describe level cylinders sorted
+    by left end, and every pair of a block of whole rows of at most
+    ``block`` pairs (a longer row alone) is built and tested.  Each row
+    term is its mass-weighted sum over its gathered window, the lower
+    one with the pairs outside the strip zeroed, and the terms are added
+    in cylinder order, so the bits are the ones ``diagonal_mass`` must
+    give.
+    """
+    count = len(lo)
+    ends = np.searchsorted(lo, hi + delta, side="right")
+    later = ends - np.arange(1, count + 1)
+    rows = np.flatnonzero(later > 0)
+    lengths = later[rows]
+    upper = float(np.sum(mass * mass))
+    lower = float(np.sum(mass[hi - lo <= delta] ** 2))
+    done = np.cumsum(lengths)
+    start = 0
+    while start < len(rows):
+        base = done[start] - lengths[start]
+        stop = max(start + 1, int(np.searchsorted(done, base + block, side="right")))
+        i, n = rows[start:stop], lengths[start:stop]
+        first = done[start:stop] - n - base
+        left = np.repeat(i, n)
+        right = np.arange(len(left)) - np.repeat(first - i - 1, n)
+        m = mass[right]
+        good = np.maximum(hi[right] - lo[left], hi[left] - lo[right]) <= delta
+        twice = 2.0 * mass[i]
+        upper = float(np.add.accumulate(
+            np.concatenate(([upper], twice * np.add.reduceat(m, first))))[-1])
+        lower = float(np.add.accumulate(
+            np.concatenate(([lower], twice * np.add.reduceat(m * good, first))))[-1])
+        start = stop
     return (lower, upper)
 
 

@@ -5,10 +5,13 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selfsim.measure
 from conftest import random_disjoint_ifs
-from oracles import compose_word, multiset_regularity, rowwise_diagonal_sweep
+from oracles import (
+    compose_word, multiset_regularity, pairwise_diagonal_sweep, rowwise_diagonal_sweep)
 from selfsim import (
     InputError,
     ResourceCapError,
@@ -199,16 +202,30 @@ def _sorted_level(ifs, depth):
 
 NINETY = '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}'
 CANTOR = '{"maps": [["1/3", "0"], ["1/3", "2/3"]]}'
+# Overlapping maps with explicit weights: the sorted right ends are out of
+# order, so a window whose end pairs lie in the strip need not lie in it
+# whole, and every row of pairs takes the per-pair path.  NESTED maps one
+# cylinder inside another.
+OVERLAP = ('{"maps": [["1/2", "0"], ["1/3", "1/4"], ["1/4", "3/4"]],'
+           ' "weights": ["1/2", "1/4", "1/4"]}')
+NESTED = ('{"maps": [["1/2", "0"], ["1/8", "1/8"], ["1/4", "3/4"]],'
+          ' "weights": ["1/2", "1/4", "1/4"]}')
 
 
 @pytest.mark.parametrize("spec,delta,depth,exact", [
     ('{"luroth": [2, 3]}', 1e-6, 16, True),   # the benchmark size, 1.76 M pairs
     (CANTOR, 0.1, 4, True),                   # the CLI contract case
+    (CANTOR, 1.0, 4, True),                   # every window inside the strip
+    ('{"luroth": [2, 3]}', 1e-9, 6, True),    # every window outside it
+    ('{"luroth": [2, 3]}', 0.01, 6, False),   # windows inside, outside and across
     ('{"luroth": [2, 3]}', 0.01, 10, False),
     ('{"luroth": [2, 3]}', 1e-3, 14, False),
     ('{"luroth": [2, 3, 5, 7]}', 1e-3, 7, False),
     (NINETY, 0.3, 10, False),
     (NINETY, 0.5, 12, False),                 # long rows of pairs
+    (OVERLAP, 0.01, 5, False),
+    (OVERLAP, 1.0, 4, False),
+    (NESTED, 0.05, 4, False),
 ])
 def test_diagonal_sweep_matches_rowwise_loop(spec, delta, depth, exact, monkeypatch):
     ifs = parse_spec(spec).ifs
@@ -222,10 +239,45 @@ def test_diagonal_sweep_matches_rowwise_loop(spec, delta, depth, exact, monkeypa
         pairs = int(np.maximum(ends - np.arange(len(lo)), 1).sum())
         tol = 4.0 * np.finfo(float).eps * pairs
         assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
+    # Window sums have the bits of the sweep over every pair.
+    assert _same_bits(got, pairwise_diagonal_sweep(lo, hi, mass, delta))
     # Blocks take whole rows and carry the running sums, so their size
     # does not move a bit.
     monkeypatch.setattr(selfsim.measure, "_PAIR_ENTRIES", 97)
-    assert diagonal_mass(ifs, delta, depth) == got
+    assert _same_bits(diagonal_mass(ifs, delta, depth), got)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.array(a).view(np.uint64), np.array(b).view(np.uint64))
+
+
+def _random_ifs(rng, overlapping):
+    """A random system of two to four maps; overlapping ones get explicit weights."""
+    if not overlapping:
+        return random_disjoint_ifs(rng)
+    k = int(rng.integers(2, 5))
+    ratios = 0.1 + 0.6 * rng.random(k)
+    maps = tuple(Similitude(float(r), float((1.0 - r) * rng.random())) for r in ratios)
+    raw = 0.1 + rng.random(k)
+    return WeightedIFS(tuple(range(k)), maps, tuple(float(w) for w in raw / raw.sum()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), overlapping=st.booleans(),
+       log_delta=st.floats(math.log(1e-5), math.log(0.5)), level=st.integers(1, 9),
+       block=st.sampled_from([97, 1 << 16]))
+def test_diagonal_window_sums_match_the_pairwise_sweep(seed, overlapping, log_delta,
+                                                       level, block):
+    rng = np.random.default_rng(seed)
+    ifs = _random_ifs(rng, overlapping)
+    # At most about 4000 cylinders, so that a wide strip stays small.
+    depth = min(level, int(math.log(4096) / math.log(ifs.size)))
+    delta = math.exp(log_delta)
+    lo, hi, mass = _sorted_level(ifs, depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selfsim.measure, "_PAIR_ENTRIES", block)
+        got = diagonal_mass(ifs, delta, depth)
+    assert _same_bits(got, pairwise_diagonal_sweep(lo, hi, mass, delta))
 
 
 def test_diagonal_sweep_memory_is_blocked(luroth23):

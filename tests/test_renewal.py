@@ -59,6 +59,19 @@ def test_phase_test_function_basics():
     assert arr[0] == g(0.0) and arr[2] == g(2.0)
 
 
+@pytest.mark.parametrize("s", [0.3, -0.3, 0.0, -0.0, 2.5, 40.0])
+def test_phase_observable_has_the_bits_of_the_complex_exp(s):
+    # cos and sin of the phase stand for the complex exp of its product
+    # with -2j*pi*s; the zeros of s = +-0 and of exp(-z) = 0 pin the sign
+    # of zero.
+    rng = np.random.default_rng(11)
+    z = np.concatenate([[0.0, 5e-324, 1.0, 745.0, 800.0, np.inf], 30.0 * rng.random(4096)])
+    got = phase_test_function(s).apply_array(z)
+    want = np.exp((-2j * math.pi * s) * np.exp(-z))
+    assert np.array_equal(got.real.view(np.uint64), want.real.view(np.uint64))
+    assert np.array_equal(got.imag.view(np.uint64), want.imag.view(np.uint64))
+
+
 def test_sample_overshoot_deterministic(luroth_lambda):
     a = sample_overshoot(luroth_lambda, 12.0, seed=3)
     b = sample_overshoot(luroth_lambda, 12.0, seed=3)
@@ -463,6 +476,33 @@ def test_observable_runs_on_the_calling_thread_in_chunk_order(luroth_lambda):
     # Slots are reused across chunks: each chunk still equals a fresh one.
     for index, (z, count) in enumerate(zip(g.chunks, counts)):
         assert np.array_equal(z, _chunk_overshoots(luroth_lambda, 20.0, 4, index, count))
+
+
+def test_next_chunk_is_sampled_while_the_observable_runs(luroth_lambda, monkeypatch):
+    # With one worker, chunk 1 is submitted as soon as chunk 0 is fetched:
+    # the observable on chunk 0 waits for chunk 1's sampling to begin.
+    started = threading.Event()
+    waited = []
+    chunk_overshoots = selfsim.renewal._chunk_overshoots
+
+    def signalling(lam, t, seed, chunk_index, *args):
+        if chunk_index == 1:
+            started.set()
+        return chunk_overshoots(lam, t, seed, chunk_index, *args)
+
+    class Waiting(RecordingObservable):
+        def apply_array(self, z):
+            if not self.chunks:
+                waited.append(started.wait(5.0))
+            return super().apply_array(z)
+
+    monkeypatch.setattr(selfsim.renewal, "_chunk_overshoots", signalling)
+    g = Waiting()
+    result = renewal_expectation_mc(luroth_lambda, g, 20.0, THREAD_SAMPLES, seed=4, threads=1)
+    assert waited == [True]
+    assert g.threads == {threading.get_ident()}
+    assert result == renewal_expectation_mc(luroth_lambda, phase_test_function(0.3), 20.0,
+                                            THREAD_SAMPLES, seed=4, threads=1)
 
 
 def test_renewal_mc_of_a_plain_callable(luroth_lambda, monkeypatch):
