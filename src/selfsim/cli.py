@@ -43,7 +43,6 @@ from . import __version__
 from .dimension import natural_weights, solve_moran
 from .diophantine import (
     auxiliary_measure,
-    classify_lattice,
     matveev_degree,
     matveev_log_constant,
     weakly_diophantine_scan,
@@ -367,7 +366,7 @@ def _dioph_scan(args, spec):
         "scan_min": report.scan_min,
         "scan_argmin": report.scan_argmin,
         "lattice": report.lattice,
-        "classification": classify_lattice(lam),
+        "classification": report.classification,
         "log_c": log_c,
         "points": len(report.rows),
     }

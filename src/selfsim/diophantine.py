@@ -107,12 +107,18 @@ class DiophantineReport:
     """Scan of the resonance gap b -> |1 - L(i*b)| against the power b^l.
 
     ``rows`` is a read-only (n, 3) float array with columns b, gap and
-    scaled = b^l * gap, b ascending.
+    scaled = b^l * gap, b ascending.  ``classification`` is the
+    classify_lattice verdict on the atom locations.
     """
 
     degree_l: float
     rows: np.ndarray
-    lattice: bool
+    classification: str
+
+    @property
+    def lattice(self) -> bool:
+        """True only for a certified lattice, as lattice_test gives it."""
+        return self.classification == "lattice"
 
     @property
     def scan_min(self) -> float:
@@ -157,9 +163,10 @@ def weakly_diophantine_scan(
     A uniform grid is augmented near every candidate resonance
     b = 2*pi*k / location, the only frequencies where a single atom's
     phase returns to 1.  The gap can only vanish on the scan when the
-    atom locations share a common multiple of 2*pi/b, the lattice case,
-    which is also reported.  The candidate count, grid plus five per
-    resonance, is checked against ``cap`` before any array is built.
+    atom locations share a common multiple of 2*pi/b, the lattice case;
+    classify_lattice's verdict is reported with the rows.  The candidate
+    count, grid plus five per resonance, is checked against ``cap``
+    before any array is built.
     The gaps are |1 - laplace_transform| at i*b, and the rows come back
     as one read-only (n, 3) float array [b, gap, scaled], whose scaled
     column is _scaled_column's b^l * gap.
@@ -181,8 +188,6 @@ def weakly_diophantine_scan(
     candidates = [np.linspace(1.0, b_max, grid)]
     offsets = np.array([-1.0, -0.25, 0.0, 0.25, 1.0]) * spacing
     for loc, k_lo, k_hi in resonances:
-        if k_hi < k_lo:
-            continue
         ks = np.arange(k_lo, k_hi + 1, dtype=float)
         centers = 2.0 * math.pi * ks / loc
         refined = (centers[:, None] + offsets[None, :]).ravel()
@@ -191,7 +196,8 @@ def weakly_diophantine_scan(
     gaps = np.abs(1.0 - laplace_transform(lam, 1j * bs))
     rows = np.column_stack((bs, gaps, _scaled_column(bs, gaps, l)))
     rows.flags.writeable = False
-    return DiophantineReport(degree_l=float(l), rows=rows, lattice=lattice_test(lam))
+    return DiophantineReport(degree_l=float(l), rows=rows,
+                             classification=classify_lattice(lam))
 
 
 @dataclass(frozen=True)
@@ -268,10 +274,9 @@ def classify_ratio(theta: float) -> str:
         if q > LATTICE_DENOMINATOR_CAP:
             break
         best_err = min(best_err, abs(theta - p / q))
-    if cf.terminating and cf.convergents and best_err <= LATTICE_TOL:
-        p, q = cf.convergents[-1]
-        if q <= LATTICE_DENOMINATOR_CAP:
-            return "rational"
+    if (cf.terminating and best_err <= LATTICE_TOL
+            and cf.convergents[-1][1] <= LATTICE_DENOMINATOR_CAP):
+        return "rational"
     if best_err <= LATTICE_TOL:
         return "indeterminate"
     return "irrational"
@@ -286,8 +291,6 @@ def classify_lattice(lam: AuxiliaryMeasure) -> str:
     not certified rational).
     """
     locs = lam.locations
-    if len(locs) == 1:
-        return "lattice"
     saw_indeterminate = False
     for i in range(len(locs)):
         for j in range(i + 1, len(locs)):

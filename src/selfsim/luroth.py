@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .dimension import natural_weights, solve_moran
 from .diophantine import _check_digits, matveev_degree
@@ -45,20 +45,18 @@ def _digit_set(digits: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(_check_digits(digits))))
 
 
-def luroth_ifs(digits: Iterable[int], weights: Sequence[float] | None = None) -> WeightedIFS:
+def luroth_ifs(digits: Iterable[int]) -> WeightedIFS:
     """Weighted system whose maps are the Luroth contractions of the digits.
 
     Digit d contributes ratio 1/(d*(d-1)) and translation 1/d, each the
-    correctly rounded float of the exact quotient.  Weights default to
-    uniform; level-1 intervals share only endpoints, so the system always
-    passes the disjointness check.  A digit whose ratio rounds to 0 is an
-    InputError.
+    correctly rounded float of the exact quotient.  The weights are
+    uniform; ``with_weights`` reweights the system.  Level-1 intervals
+    share only endpoints, so the system always passes the disjointness
+    check.  A digit whose ratio rounds to 0 is an InputError.
     """
     ds = _digit_set(digits)
     maps = tuple(Similitude(1 / (d * (d - 1)), 1 / d) for d in ds)
-    if weights is None:
-        weights = tuple(1.0 / len(ds) for _ in ds)
-    return WeightedIFS(ds, maps, tuple(weights))
+    return WeightedIFS(ds, maps, tuple(1.0 / len(ds) for _ in ds))
 
 
 def luroth_natural_ifs(digits: Iterable[int]) -> tuple[WeightedIFS, float]:

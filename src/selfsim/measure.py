@@ -114,17 +114,14 @@ def regularity_scan(
     )
 
 
-def _in_strip(lo, hi, i, j, delta: float) -> np.ndarray:
-    """Whether every point of cylinder i is within ``delta`` of every point of j."""
-    return np.maximum(hi[j] - lo[i], hi[i] - lo[j]) <= delta
-
-
 def _pair_sums(lo, hi, mass, delta: float, rows, ends) -> np.ndarray:
     """For each row i, the sum of mass[j] over the j of its window in the strip.
 
     Row i's window is i + 1 .. ends[i] - 1; its pairs are built as arrays
     in blocks of whole rows of at most _PAIR_ENTRIES pairs (a longer row
     alone), and each row is summed over its whole window, zeros included.
+    A pair is in the strip when every point of one cylinder is within
+    ``delta`` of every point of the other.
     """
     lengths = ends[rows] - rows - 1
     done = np.cumsum(lengths)
@@ -137,8 +134,8 @@ def _pair_sums(lo, hi, mass, delta: float, rows, ends) -> np.ndarray:
         first = done[start:stop] - n - base
         left = np.repeat(i, n)
         right = np.arange(len(left)) - np.repeat(first - i - 1, n)
-        sums[start:stop] = np.add.reduceat(mass[right] * _in_strip(lo, hi, left, right, delta),
-                                           first)
+        in_strip = np.maximum(hi[right] - lo[left], hi[left] - lo[right]) <= delta
+        sums[start:stop] = np.add.reduceat(mass[right] * in_strip, first)
         start = stop
     return sums
 
@@ -165,14 +162,14 @@ def diagonal_mass(
 
     Cylinder i pairs with the window i + 1 .. ends[i] - 1 of later
     cylinders, a contiguous run of the sorted masses, so one reduceat
-    over ``mass`` gives every row's upper sum.  When the right ends are
-    non-decreasing too, hi[j] - lo[i] grows and hi[i] - lo[j] shrinks
-    along a window, so a window whose first and last pairs lie in the
-    strip lies in it whole, and its lower sum is its upper sum.  Only the
-    other rows, or every row when the right ends are out of order
-    (overlapping maps), build arrays of their pairs.  Each window is
-    summed as one contiguous run either way, so the bits are those of a
-    sweep over every pair.  Rows go in blocks of _PAIR_ENTRIES // 8,
+    over ``mass`` gives every row's upper sum.  Every j of the window has
+    lo[j] >= lo[i + 1] and hi[j] <= reach[ends[i] - 1], the running
+    maximum of the right ends; rounding is monotone, so a row whose
+    reach[ends[i] - 1] - lo[i] and hi[i] - lo[i + 1] are both within
+    ``delta`` lies in the strip whole, and its lower sum is its upper
+    sum.  Only the other rows build arrays of their pairs.  Each window
+    is summed as one contiguous run either way, so the bits are those of
+    a sweep over every pair.  Rows go in blocks of _PAIR_ENTRIES // 8,
     which keeps the block arrays below one block of pairs, and the row
     terms are added one after another in cylinder order; no BLAS
     reduction is involved, so the bits do not depend on the BLAS thread
@@ -208,17 +205,15 @@ def diagonal_mass(
     # lets a window end at the last cylinder, and a block reads only up to
     # its last window end.
     padded = np.append(mass, 0.0)
-    sorted_hi = bool(np.all(hi[1:] >= hi[:-1]))
+    reach = np.maximum.accumulate(hi)
     step = max(1, _PAIR_ENTRIES // 8)
     for start in range(0, len(rows), step):
         i = rows[start:start + step]
         bounds = np.empty(2 * len(i), dtype=np.intp)
         bounds[0::2], bounds[1::2] = i + 1, ends[i]
         whole = np.add.reduceat(padded[:bounds.max() + 1], bounds)[::2]
-        slow = np.arange(len(i))
-        if sorted_hi:
-            slow = np.flatnonzero(~(_in_strip(lo, hi, i, i + 1, delta)
-                                    & _in_strip(lo, hi, i, ends[i] - 1, delta)))
+        slow = np.flatnonzero(~(np.maximum(reach[ends[i] - 1] - lo[i], hi[i] - lo[i + 1])
+                                <= delta))
         part = whole.copy()
         part[slow] = _pair_sums(lo, hi, mass, delta, i[slow], ends)
         twice = 2.0 * mass[i]

@@ -45,6 +45,14 @@ def test_parse_spec_maps_exact_fractions():
     ratios = [m.ratio for m in spec.ifs.maps]
     assert ratios == [0.25, 0.5]
     assert spec.ifs.maps[0].translation == float(Fraction(1, 4))
+    # JSON floats are read through their shortest repr, so README's float
+    # spec gives the maps of its fraction strings.
+    floats = parse_spec('{"maps": [[0.25, 0.5], [0.5, 0.0]]}').ifs
+    assert floats == parse_spec('{"maps": [["1/4", "1/2"], ["1/2", "0"]]}').ifs
+    readme = parse_spec('{"maps": [[0.3333333333333333, 0.0],'
+                        ' [0.3333333333333333, 0.6666666666666666]], "weights": [0.5, 0.5]}')
+    assert readme.ifs.maps == parse_spec(CANTOR_SPEC).ifs.maps
+    assert readme.ifs.weights == (0.5, 0.5)
 
 
 def test_parse_spec_explicit_weights_kept():
@@ -59,7 +67,7 @@ def test_parse_spec_natural_weights_by_default():
     assert spec.ifs.weights == pytest.approx((0.5, 0.5), abs=1e-13)
 
 
-def test_parse_spec_rejects_bad_input():
+def test_parse_spec_rejects_bad_input(tmp_path, capsys):
     with pytest.raises(InputError, match="mapz"):
         parse_spec('{"mapz": []}')
     with pytest.raises(InputError):
@@ -78,6 +86,28 @@ def test_parse_spec_rejects_bad_input():
     # disjointness; the parse therefore fails up front.
     with pytest.raises(Exception, match="disjointness"):
         parse_spec('{"maps": [["1/2", "0"], ["2/3", "0"]]}')
+    # Each refusal exits 2 and names the field it could not read; json reads
+    # 1e999 and NaN as floats that no Fraction takes.  A spec file may hold
+    # any JSON document.
+    path = tmp_path / "spec.json"
+    two = '["1/4", "3/4"]'
+    for spec, field in [
+        ('[1, 2]', "JSON object"),
+        ('{"luroth": 3}', "'luroth'"),
+        ('{"maps": []}', "'maps'"),
+        ('{"maps": ["1/2"]}', "'maps[0]'"),
+        (f'{{"maps": [{two}, ["1/2"]]}}', "'maps[1]'"),
+        (f'{{"maps": [{two}, ["1/2", "0"]], "weights": ["1"]}}', "'weights'"),
+        ('{"maps": [[1e999, "0"]]}', "'maps[0].ratio'"),
+        ('{"maps": [["1/2", NaN]]}', "'maps[0].translation'"),
+        ('{"maps": [[true, "0"]]}', "'maps[0].ratio'"),
+        ('{"maps": [["1/2", null]]}', "'maps[0].translation'"),
+        (f'{{"maps": [{two}, [[1], "0"]]}}', "'maps[1].ratio'"),
+        (f'{{"maps": [{two}, ["1/2", "0"]], "weights": ["1/2", null]}}', "'weights[1]'"),
+    ]:
+        path.write_text(spec)
+        code, _, err = run(["dim", "--spec", str(path)], capsys)
+        assert code == 2 and field in err, (spec, err)
 
 
 def test_dim_command(tmp_path, capsys):
@@ -95,6 +125,11 @@ def test_dim_command(tmp_path, capsys):
     assert sidecar["version"]
     assert len(sidecar["spec_sha256"]) == 64
     assert "wall_time_s" in sidecar
+    # An --out without the .csv suffix gets it, and the sidecar goes beside.
+    code, _, _ = run(["dim", "--spec", LUROTH_SPEC, "--out", str(tmp_path / "bare")], capsys)
+    assert code == 0
+    assert (tmp_path / "bare.csv").read_bytes() == out.read_bytes()
+    assert json.loads((tmp_path / "bare.json").read_text())["tables"] == sidecar["tables"]
 
 
 def test_exit_codes(tmp_path, capsys):

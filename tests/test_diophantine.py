@@ -24,7 +24,7 @@ from selfsim import (
     weakly_diophantine_scan,
 )
 from selfsim.diophantine import _scaled_column
-from selfsim.luroth import luroth_natural_ifs
+from selfsim.luroth import luroth_ifs, luroth_natural_ifs
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,11 @@ def test_scan_cap_counts_candidate_rows(luroth_lambda):
     assert 256 < len(report.rows) <= count
     with pytest.raises(ResourceCapError, match=f"needs {count} candidate rows, cap={count - 1}"):
         weakly_diophantine_scan(luroth_lambda, 2.0, 200.0, 256, cap=count - 1)
+    # A ratio of 99/100 puts its first resonance 2*pi / log(100/99) past
+    # b_max, so the scan is its grid alone.
+    slow = auxiliary_measure(WeightedIFS((0,), (Similitude(0.99, 0.0),), (1.0,)))
+    report = weakly_diophantine_scan(slow, 2.0, 200.0, 64, cap=64)
+    assert np.array_equal(report.rows[:, 0], np.linspace(1.0, 200.0, 64))
     # b_max * log 6 overflows to inf; the count still stops at the cap.
     with pytest.raises(ResourceCapError):
         weakly_diophantine_scan(luroth_lambda, 2.0, 1.7e308, 256)
@@ -169,7 +174,7 @@ def test_scan_rows_are_one_array(luroth_lambda, l, b_max):
 
 def test_scan_argmin_takes_the_first_minimum():
     rows = np.array([[1.0, 0.5, 0.0], [2.0, 0.25, 0.0], [3.0, 0.25, 0.0]])
-    report = DiophantineReport(2.0, rows, False)
+    report = DiophantineReport(2.0, rows, "non-lattice")
     assert report.scan_min == 0.25 and report.scan_argmin == 2.0
 
 
@@ -265,6 +270,12 @@ def test_classify_lattice(luroth_lambda, lattice_lambda):
     single = auxiliary_measure(WeightedIFS(
         (0,), (Similitude(0.5, 0.0),), (1.0,)))
     assert classify_lattice(single) == "lattice"
+    # log 6 / log 110 has no convergent under the cap within the tolerance.
+    three_eleven = auxiliary_measure(luroth_ifs((3, 11)))
+    assert classify_lattice(three_eleven) == "non-lattice"
+    assert lattice_test(three_eleven) is False
+    report = weakly_diophantine_scan(three_eleven, 2.0, 200.0, 64)
+    assert report.classification == "non-lattice" and report.lattice is False
 
 
 def test_matveev_degree_golden():

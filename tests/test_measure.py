@@ -204,8 +204,10 @@ NINETY = '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}'
 CANTOR = '{"maps": [["1/3", "0"], ["1/3", "2/3"]]}'
 # Overlapping maps with explicit weights: the sorted right ends are out of
 # order, so a window whose end pairs lie in the strip need not lie in it
-# whole, and every row of pairs takes the per-pair path.  NESTED maps one
-# cylinder inside another.
+# whole.  A row takes its window sum only when the running maximum of the
+# right ends allows it; with the window's last right end in its place,
+# OVERLAP at delta 0.01 and NESTED fail the bit comparison with the pairwise
+# sweep.  NESTED maps one cylinder inside another.
 OVERLAP = ('{"maps": [["1/2", "0"], ["1/3", "1/4"], ["1/4", "3/4"]],'
            ' "weights": ["1/2", "1/4", "1/4"]}')
 NESTED = ('{"maps": [["1/2", "0"], ["1/8", "1/8"], ["1/4", "3/4"]],'
@@ -291,8 +293,9 @@ def test_diagonal_sweep_memory_is_blocked(luroth23):
 
 
 def test_diagonal_sweep_peak_at_depth_16(luroth23):
-    # The level arrays and one block of at most 65 536 pairs peak at about
-    # 8 MB; blocks of 2^18 pairs peaked at about 17 MB.
+    # The level arrays, the running maximum of the right ends and one block
+    # of at most 65 536 pairs peak at about 6.4 MB; blocks of 2^18 pairs
+    # peaked at about 17 MB.
     tracemalloc.start()
     try:
         diagonal_mass(luroth23, 1e-6, 16)
