@@ -37,13 +37,6 @@ HUGE_QUOTIENT = 10 ** 8
 # Atom locations closer than this are merged.
 ATOM_MERGE_TOL = 1e-12
 
-# A numpy exponent l*log(b) + log(gap) at or above this has a libm value
-# of at least 709, so the scaled gap is inf.  Near the cut both terms are
-# below about 1500 in size (a positive gap is at least 5e-324), where the
-# last-bit differences of the two logs move the exponent by far less than 1.
-_SURELY_INF = 710.0
-
-
 @dataclass(frozen=True)
 class AuxiliaryMeasure:
     """Purely atomic probability measure on the positive half-line.
@@ -133,21 +126,16 @@ def _scaled_column(bs: np.ndarray, gaps: np.ndarray, l: float) -> np.ndarray:
     """b^l * gap of every (b, gap) pair, as a float array.
 
     b^l overflows floats long before the product does not matter, so the
-    product is exp(l*log(b) + log(gap)) with libm's log and exp: inf from
-    an exponent of 709 up, and 0 for a zero gap.  numpy's log may differ
-    from libm's in the last bit, so it only picks the rows that are surely
-    inf.
+    product is exp(l*log(b) + log(gap)), with numpy's float64 log and exp
+    over the whole column: inf from an exponent of 709 up, and 0 for a zero
+    gap, whatever l*log(b) is (it may overflow to inf, and inf + log(0) is
+    nan).  Elementwise, so a row has the same bits alone as in a batch.
     """
-    scaled = np.where(gaps == 0.0, 0.0, math.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.flatnonzero(~(l * np.log(bs) + np.log(gaps) >= _SURELY_INF) & (gaps != 0.0))
-    # A memoryview yields Python floats, which libm takes without a numpy
-    # scalar per row.
-    e = (l * np.fromiter(map(math.log, memoryview(bs[rest])), float, len(rest))
-         + np.fromiter(map(math.log, memoryview(gaps[rest])), float, len(rest)))
-    below = ~(e >= 709.0)
-    scaled[rest[below]] = np.fromiter(map(math.exp, memoryview(e[below])), float,
-                                      int(below.sum()))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = l * np.log(bs) + np.log(gaps)
+        scaled = np.exp(e)
+    scaled[e >= 709.0] = math.inf
+    scaled[gaps == 0.0] = 0.0
     return scaled
 
 
@@ -158,7 +146,7 @@ def weakly_diophantine_scan(
     grid: int,
     cap: int = DEFAULT_WORD_CAP,
 ) -> DiophantineReport:
-    """Tabulate the resonance gap over [1, b_max] with targeted refinement.
+    """Tabulate the resonance gap and b^l times it over [1, b_max].
 
     A uniform grid is augmented near every candidate resonance
     b = 2*pi*k / location, the only frequencies where a single atom's
@@ -167,9 +155,11 @@ def weakly_diophantine_scan(
     classify_lattice's verdict is reported with the rows.  The candidate
     count, grid plus five per resonance, is checked against ``cap``
     before any array is built.
-    The gaps are |1 - laplace_transform| at i*b, and the rows come back
-    as one read-only (n, 3) float array [b, gap, scaled], whose scaled
-    column is _scaled_column's b^l * gap.
+
+    The rows come back as one read-only (n, 3) float array [b, gap,
+    scaled], b ascending.  The gaps are |1 - laplace_transform| at i*b and
+    the scaled column is _scaled_column's b^l * gap, both elementwise in
+    numpy, so a row has the same bits computed alone as in the batch.
     """
     if not (l > 0.0 and math.isfinite(l)):
         raise InputError(f"power must be positive and finite, got {l!r}")

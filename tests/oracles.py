@@ -15,7 +15,7 @@ references: compose_word, which composes a word in orbit order, the
 row-by-row diagonal sweep and the blocked sweep over every cylinder
 pair that followed it, the Fraction refinement of Luroth cylinder
 intervals, the CSV rendering of a table row by row through csv.writer,
-and the scaled resonance gap of one row.
+and the scaled resonance gap taken one row at a time.
 """
 
 from __future__ import annotations
@@ -404,17 +404,20 @@ def csv_bytes(header, rows) -> bytes:
 
 
 def scaled_gap(b: float, gap: float, l: float) -> float:
-    """b^l * gap of one scan row, as the scan computed it row by row.
+    """b^l * gap of one scan row, taken on that row alone.
 
     b^l overflows floats long before the product does not matter, so the
-    product is assembled in log space with libm's log and exp.
+    product is assembled in log space, exp(l*log(b) + log(gap)), with
+    numpy's float64 log and exp on one float64 scalar each: inf from an
+    exponent of 709 up, and 0 for a zero gap before any log is taken.
     """
     if gap == 0.0:
         return 0.0
-    e = l * math.log(b) + math.log(gap)
+    with np.errstate(over="ignore"):
+        e = l * np.log(np.float64(b)) + np.log(np.float64(gap))
     if e >= 709.0:
         return math.inf
-    return math.exp(e)
+    return float(np.exp(e))
 
 
 def integer_root(m: int, k: int) -> int:

@@ -1,8 +1,10 @@
 """The CLI contract: exit code, stdout line and CSV bytes of every subcommand.
 
-Each of the 13 subcommands runs once at a small size.  Expected values
+Each of the 13 subcommands runs once at a small size, and dioph-scan
+once more at a power that keeps its scaled column finite.  Expected values
 were recorded before the command table replaced the per-command
-functions; any change to a summary line or a CSV byte fails here.  The
+functions, the second dioph-scan's once its scaled column was taken in
+numpy; any change to a summary line or a CSV byte fails here.  The
 renewal job uses a fixed seed, and ``diagonal`` stays at depth 4 so that
 no BLAS reduction is large enough to split across threads.
 """
@@ -20,6 +22,7 @@ import selfsim.renewal
 
 LUROTH = '{"luroth": [2, 3]}'
 CANTOR = '{"maps": [["1/3", "0"], ["1/3", "2/3"]]}'
+NINETY = '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}'
 
 ARGV = {
     "dim": ["dim", "--spec", LUROTH],
@@ -31,6 +34,10 @@ ARGV = {
     "regularity": ["regularity", "--spec", LUROTH, "--depth", "5"],
     "diagonal": ["diagonal", "--spec", CANTOR, "--delta", "0.1", "--depth", "4"],
     "dioph-scan": ["dioph-scan", "--spec", LUROTH, "--b-max", "200", "--grid", "256"],
+    # At Luroth's own power every scaled gap but b = 1's is inf; at l = 2
+    # the scaled column is finite.
+    "dioph-scan-l2": ["dioph-scan", "--spec", NINETY, "--l", "2", "--b-max", "200",
+                      "--grid", "256"],
     "matveev": ["matveev", "--a1", "2", "--a2", "3"],
     "luroth-encode": ["luroth-encode", "--x", "2/3", "--n", "6"],
     "luroth-decode": ["luroth-decode", "--digits", "2,3,2"],
@@ -75,6 +82,14 @@ EXPECTED = {
         {
             'job.csv':
                 'bdc5f3a5d61f4c712f8b53d2d4c6e1ba8a6ad44c9feb232ad9f79459fd4d9c2a',
+        }),
+    'dioph-scan-l2': (
+        'dioph-scan degree_l=2 scan_min=0.0036992050076877958'
+        ' scan_argmin=119.46530600944148 lattice=false'
+        ' classification=indeterminate log_c=nan points=745',
+        {
+            'job.csv':
+                '79521df2e2060f1a27fe58134020d33f81ac93ec79f4a1d530489c51201470e7',
         }),
     'fourier-scan': (
         'fourier-scan t=8 xi_max=64 samples=12 blocks=6'
@@ -154,7 +169,7 @@ def test_cli_output_unchanged(command, tmp_path, capsys):
 def test_sidecar_points_at_its_csv(command, tmp_path, capsys):
     _run(command, tmp_path, capsys)
     sidecar = json.loads((tmp_path / "job.json").read_text(encoding="utf-8"))
-    assert sidecar["command"] == command
+    assert sidecar["command"] == ARGV[command][0]
     for name, entry in sidecar["tables"].items():
         path = tmp_path / ("job.csv" if name == "main" else f"job.{name}.csv")
         lines = path.read_bytes().splitlines()

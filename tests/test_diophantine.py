@@ -23,6 +23,7 @@ from selfsim import (
     perfect_power_free,
     weakly_diophantine_scan,
 )
+from selfsim.cli import parse_spec
 from selfsim.diophantine import _scaled_column
 from selfsim.luroth import luroth_ifs, luroth_natural_ifs
 
@@ -182,8 +183,8 @@ def test_scaled_column_is_scaled_gap_bit_for_bit():
     l = 1000.0
     bs, gaps = [], []
     # One-ulp steps of b around exp(0.709) and exp(0.710) move the exponent
-    # 1000 * log(b) across 709, where the scaled gap turns inf, and across the
-    # cut above which numpy alone decides the row.
+    # 1000 * log(b) across 709, where the scaled gap turns inf, and across
+    # 710, past exp's own overflow at about 709.78.
     for center in (math.exp(0.709), math.exp(0.710)):
         b = center
         for _ in range(20):
@@ -199,12 +200,66 @@ def test_scaled_column_is_scaled_gap_bit_for_bit():
     assert 0.0 in scaled and math.inf in scaled
     finite = scaled[np.isfinite(scaled)]
     assert finite.max() > math.exp(708.9999)
-    # On some numpy builds np.log and math.log of this b differ in the last
-    # bit, and this l puts the exponent at 709.0 by one and just below by
-    # the other: only libm's log may decide such a row.
+    # np.log and math.log of this b differ in the last bit on some builds,
+    # and this l puts the exponent at 709.0 by one and just below by the
+    # other: the column and its oracle take the same log, so they agree.
     b, l = 64818.84011583974, 63.992914631642435
     scaled = _scaled_column(np.array([b]), np.array([1.0]), l)
     assert np.array_equal(scaled.view(np.uint64), scaled_bits([b], [1.0], l))
+    # l * log(b) overflows to inf, and inf + log(0) is nan: a zero gap
+    # still scales to 0, and a positive one to inf.
+    bs, gaps, l = [1e300, 1e300, 2.0], [0.0, 1e-300, 0.0], 1e306
+    scaled = _scaled_column(np.array(bs), np.array(gaps), l)
+    assert np.array_equal(scaled.view(np.uint64), scaled_bits(bs, gaps, l))
+    assert scaled.tolist() == [0.0, math.inf, 0.0]
+
+
+# Steps and powers whose scaled columns are finite: the 9/10 walk and
+# Luroth {2,3} at l = 2, and Luroth {2,3,5,7} at l = 7.5.
+FINITE_SCANS = pytest.mark.parametrize(
+    "spec,l", [('{"maps": [["9/10", "0"], ["1/20", "19/20"]]}', 2.0),
+               ('{"luroth": [2, 3]}', 2.0), ('{"luroth": [2, 3, 5, 7]}', 7.5)],
+    ids=["ninety", "luroth23", "luroth2357"])
+
+
+@FINITE_SCANS
+def test_scaled_column_rows_alone_equal_their_batch_entries(spec, l):
+    rows = weakly_diophantine_scan(auxiliary_measure(parse_spec(spec).ifs), l, 2e3, 256).rows
+    bs, gaps, scaled = rows[:, 0], rows[:, 1], rows[:, 2].view(np.uint64)
+    rng = np.random.default_rng(5)
+    for i in rng.choice(len(rows), size=200, replace=False):
+        alone = _scaled_column(bs[i:i + 1], gaps[i:i + 1], l)
+        assert alone.view(np.uint64)[0] == scaled[i]
+    # Every length up to 39 starting at one offset, so that a vector kernel's
+    # main loop and its tail both see each row.
+    for n in range(1, 40):
+        part = _scaled_column(bs[17:17 + n], gaps[17:17 + n], l)
+        assert np.array_equal(part.view(np.uint64), scaled[17:17 + n])
+
+
+@FINITE_SCANS
+def test_scaled_column_is_accurate(spec, l):
+    """The scaled column against a 40-digit b^l * gap of the same floats.
+
+    exp(l*log(b) + log(gap)) takes five roundings: the two logs and the
+    exp, each within an ulp (2u relative, u = 2^-53), and the product and
+    the sum, each correctly rounded (u).  The exponent's absolute error is then at most
+    (2u + u)*|l*log b| + 2u*|log gap| + u*|e|, and exp turns it into the
+    same relative error, plus 2u of its own.  That is at most
+    4*(|l*log b| + |log gap|)*u + 2u to first order, so
+    4*(|l*log b| + |log gap| + 1)*u bounds it with room for the
+    second-order terms.
+    """
+    rows = weakly_diophantine_scan(auxiliary_measure(parse_spec(spec).ifs), l, 2e4, 2048).rows
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for b, gap, scaled in rows[rng.choice(len(rows), size=1500, replace=False)].tolist():
+            assert math.isfinite(scaled) and scaled > 0.0
+            exact = mpmath.mpf(b) ** mpmath.mpf(l) * mpmath.mpf(gap)
+            units = (abs(l * math.log(b)) + abs(math.log(gap)) + 1.0) * 2.0 ** -53
+            worst = max(worst, float(abs(scaled - exact) / exact) / units)
+    assert worst <= 4.0
 
 
 def test_scan_validation(luroth_lambda):
