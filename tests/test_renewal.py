@@ -34,7 +34,8 @@ from selfsim import (
 from selfsim.cli import parse_spec
 from selfsim.luroth import luroth_natural_ifs
 import selfsim.renewal
-from selfsim.renewal import _CHUNK, _GL_NODES, _GL_WEIGHTS, _PANEL, _chunk_overshoots, _Slot
+from selfsim.renewal import (
+    _BLOCK, _CHUNK, _GL_NODES, _GL_WEIGHTS, _PANEL, _chunk_overshoots, _Slot)
 
 # Limit value of E exp(0.3i * overshoot) for the Luroth {2,3} walk, frozen
 # from the quadrature path and cross-checked by interval subdivision.
@@ -215,8 +216,9 @@ def test_renewal_validation(luroth_lambda):
 
 def test_chunk_memory_stays_bounded_for_long_walks():
     # Steps of -log(0.9) need up to 287 draws per walker to cross t = 30,
-    # so one chunk drawn at once would hold about 150 MB; panels of steps
-    # for the walkers still below t keep it small.
+    # so one chunk drawn at once would hold about 150 MB; panels of runs
+    # for the walkers still below t, walked in blocks, hold the slot's
+    # 1.6 MB, the 512 KB output and the index lists of one block (2.3 MB).
     ifs = WeightedIFS((0, 1), (Similitude(0.9, 0.0), Similitude(0.05, 0.95)), (0.5, 0.5))
     lam = auxiliary_measure(ifs)
     tracemalloc.start()
@@ -227,7 +229,7 @@ def test_chunk_memory_stays_bounded_for_long_walks():
         tracemalloc.stop()
     assert len(overshoots) == _CHUNK
     assert np.all((overshoots >= 0.0) & (overshoots < -math.log(0.05)))
-    assert peak < 100 * 2 ** 20
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_chunk_sizes_are_not_listed_before_the_first_draw(luroth_lambda):
@@ -263,13 +265,19 @@ SAMPLER_SPECS = {
 
 @pytest.mark.parametrize("t", [0.3, 5.0, 30.0, 100.0])
 @pytest.mark.parametrize("name", sorted(SAMPLER_SPECS))
-def test_chunk_overshoots_match_choice_sampler(name, t):
+def test_chunk_overshoots_match_choice_sampler(name, t, monkeypatch):
+    # Blocks of 7 and 64 walkers put block seams inside the panels; the
+    # counts start a chunk one short of a block, at one block, one over,
+    # and three blocks and five over.
     lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
-    for chunk_index in (0, 7):
-        for count in (1, 999):
-            want = run_overshoots(lam, t, 42, chunk_index, count, _PANEL)
-            got = _chunk_overshoots(lam, t, 42, chunk_index, count)
-            assert np.array_equal(got, want), (name, t, chunk_index, count)
+    for block in (_BLOCK, 7, 64):
+        monkeypatch.setattr(selfsim.renewal, "_BLOCK", block)
+        counts = (1, 999) if block == _BLOCK else (block - 1, block, block + 1, 3 * block + 5)
+        for chunk_index in (0, 7):
+            for count in counts:
+                want = run_overshoots(lam, t, 42, chunk_index, count, _PANEL)
+                got = _chunk_overshoots(lam, t, 42, chunk_index, count)
+                assert np.array_equal(got, want), (name, t, block, chunk_index, count)
 
 
 def test_chunk_overshoots_match_choice_sampler_for_a_full_chunk(luroth_lambda):
@@ -308,6 +316,24 @@ def test_chunk_stream_is_pinned(luroth_lambda):
     assert np.array_equal(_chunk_overshoots(luroth_lambda, 30.0, -5, 3, 999),
                           _chunk_overshoots(luroth_lambda, 30.0, 2 ** 64 - 5, 3, 999))
     assert sample_overshoot(luroth_lambda, 30.0, seed=11) == 0.22434490556416264
+
+
+def test_chunk_stream_advances_as_drawn():
+    # A block of a panel draws its segment of each row after
+    # PCG64DXSM.advance, forward or (modulo 2^128) back.
+    for (key, chunk_index), want in STREAM_PINS.items():
+        seq = np.random.SeedSequence(key, spawn_key=(chunk_index,))
+        rng = np.random.Generator(np.random.PCG64DXSM(seq))
+        draws = rng.random(40)
+        assert draws[:8].tolist() == want
+        for k, w in ((0, 40), (5, 9), (17, 23)):
+            ahead = np.random.Generator(np.random.PCG64DXSM(seq))
+            ahead.bit_generator.advance(k)
+            assert np.array_equal(ahead.random(w), draws[k:k + w]), (key, k, w)
+            # ``rng`` sits at 40: back to k, w draws, then on to 40 again.
+            rng.bit_generator.advance((k - 40) % 2 ** 128)
+            assert np.array_equal(rng.random(w), draws[k:k + w]), (key, k, w)
+            rng.bit_generator.advance(40 - k - w)
 
 
 # The reference walks one run at a time in Python, so counts stay small.
@@ -566,7 +592,8 @@ def test_thread_count_is_validated(luroth_lambda):
 @pytest.mark.parametrize("t", [3.0, 30.0, 100.0])
 def test_slot_kernel_allocates_little_whatever_t(t):
     # With its work arrays in a slot, a chunk allocates only the index
-    # lists of each panel, however many panels its walkers need.
+    # lists of each block, 8 bytes per column, and numpy's cast buffers,
+    # however many panels its walkers need: 0.2 MB at most.
     lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["ninety"]).ifs)
     slot, out = _Slot(_CHUNK), np.empty(_CHUNK)
     tracemalloc.start()
@@ -576,4 +603,4 @@ def test_slot_kernel_allocates_little_whatever_t(t):
     finally:
         tracemalloc.stop()
     assert np.array_equal(out, _chunk_overshoots(lam, t, 5, 0, _CHUNK))
-    assert peak < 2 ** 20
+    assert peak < 2 ** 18
