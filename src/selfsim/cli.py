@@ -194,7 +194,7 @@ def _csv_blocks(header: list[str], rows):
     columns = len(header)
     yield _unquoted(",".join(header) + "\r\n", 1, columns).encode()
     if hasattr(rows, "csv_blocks"):  # figurecsv.FigureRows, not imported here
-        yield from rows.csv_blocks(_BLOCK_ROWS)
+        yield from rows.csv_blocks()
         return
     if isinstance(rows, np.ndarray):
         from .floatcsv import FloatCells  # compiled only where a float table is written

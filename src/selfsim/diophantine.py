@@ -182,7 +182,10 @@ def weakly_diophantine_scan(
         centers = 2.0 * math.pi * ks / loc
         refined = (centers[:, None] + offsets[None, :]).ravel()
         candidates.append(refined[(refined >= 1.0) & (refined <= b_max)])
-    bs = np.unique(np.concatenate(candidates))
+    # Sorted and deduplicated as np.unique would, which loads numpy.ma.
+    bs = np.concatenate(candidates)
+    bs.sort()
+    bs = bs[np.concatenate(([True], bs[1:] != bs[:-1]))]
     gaps = np.abs(1.0 - laplace_transform(lam, 1j * bs))
     rows = np.column_stack((bs, gaps, _scaled_column(bs, gaps, l)))
     rows.flags.writeable = False

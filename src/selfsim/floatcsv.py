@@ -129,7 +129,8 @@ class FloatCells:
         self.powers.take(cls, axis=1, out=out, mode="clip")
         missing = np.isnan(out[0])
         if missing.any():
-            for c in np.unique(cls[missing]).tolist():
+            # Not np.unique, which loads numpy.ma.
+            for c in sorted(set(cls[missing].tolist())):
                 power = Fraction(10) ** (16 - (c + _EXP_MIN))
                 hi = float(power)
                 high = hi * _SPLIT - (hi * _SPLIT - hi)

@@ -10,6 +10,7 @@ the integers, so encoding and decoding round-trip at any depth.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,6 +26,10 @@ from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS, _levels_over_cap
 # CPython's default int-to-str digit limit, the figure's rule wherever the
 # interpreter sets none (Python 3.10, or a limit of 0).
 _DEFAULT_STR_DIGITS = 4300
+
+# Most cylinders in one block of the figure: a rendered row holds about
+# 500 B of Python ints and tuples, so a block holds about 1 MB.
+_FIGURE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -121,17 +126,22 @@ def luroth_decode(digits, exact: bool = False):
     return a / w, 1 / w
 
 
-def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> list[tuple[int, int]]:
-    """Level-``level`` cylinders [A/W, (A+1)/W] of the digits, as pairs (A, W).
+def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> _Blocks:
+    """Level-``level`` cylinders [A/W, (A+1)/W] of the digits, as sorted blocks of pairs (A, W).
 
     Each word's image of [0,1] is refined as in _refine_cylinder; the maps
     increase and larger digits lie further left, so refining by descending
-    digits keeps the cylinders sorted.  The reduced denominators q1, q2 of
-    an interval's ends satisfy q1 * q2 >= W, so the word repeating the
+    digits keeps the cylinders sorted.  A block is the subtree of the
+    K^b <= _FIGURE_BLOCK cylinders under one prefix of length level - b,
+    and the prefixes come in that same descending-digit order, so the
+    blocks, one after another, are the sorted cylinders, and only one
+    block is held at a time.  The reduced denominators q1, q2 of an
+    interval's ends satisfy q1 * q2 >= W, so the word repeating the
     largest digit d has an end with a denominator of at least
-    (d * (d - 1)) ** (level / 2).  When that bound has more digits than the
-    interpreter's int-to-str limit (4300, CPython's default, where the
-    interpreter sets none), InputError is raised before any cylinder is built.
+    (d * (d - 1)) ** (level / 2).  When that bound has more digits than
+    the interpreter's int-to-str limit (4300, CPython's default, where the
+    interpreter sets none), InputError is raised, as are a bad digit set or
+    level and ResourceCapError, by this call, before any cylinder is built.
     """
     ds = _digit_set(digits)
     if level < 1:
@@ -145,17 +155,41 @@ def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> list[tuple
             f"the int-to-str digit limit")
     # _refine_cylinder inlined, with each digit's factors formed once.
     factors = [(d, d - 1, d * (d - 1)) for d in reversed(ds)]
-    cylinders = [(0, 1)]
-    for _ in range(level):
-        cylinders = [(m * (d * a + 1), q * w) for a, w in cylinders for d, m, q in factors]
-    return cylinders
+    depth = 1
+    while depth < level and len(ds) ** (depth + 1) <= _FIGURE_BLOCK:
+        depth += 1
+
+    def blocks():
+        for prefix in itertools.product(factors, repeat=level - depth):
+            a, w = 0, 1
+            for d, m, q in prefix:
+                a, w = m * (d * a + 1), q * w
+            block = [(a, w)]
+            for _ in range(depth):
+                block = [(m * (d * a + 1), q * w) for a, w in block for d, m, q in factors]
+            yield block
+
+    return _Blocks(blocks(), len(ds) ** level)
+
+
+class _Blocks:
+    """The sorted blocks of _figure_cylinders, to be iterated once, and their cylinder count."""
+
+    def __init__(self, blocks, count: int) -> None:
+        self.blocks, self.count = blocks, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return self.blocks
 
 
 def figure_intervals(digits: Iterable[int], level: int,
                      cap: int = DEFAULT_WORD_CAP) -> tuple[tuple[Fraction, Fraction], ...]:
     """Exact level-``level`` intervals [A/W, (A+1)/W] of _figure_cylinders, sorted."""
     return tuple((Fraction(a, w), Fraction(a + 1, w))
-                 for a, w in _figure_cylinders(digits, level, cap))
+                 for block in _figure_cylinders(digits, level, cap) for a, w in block)
 
 
 def _two_smallest(digits: Iterable[int]) -> tuple[int, int]:

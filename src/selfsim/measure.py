@@ -188,23 +188,29 @@ def diagonal_mass(
         lo, width, mass = _refine(ifs, lo, width, mass)
     order = np.argsort(lo, kind="stable")
     lo = lo[order]
-    hi = lo + width[order]
-    mass = mass[order]
+    hi = width[order]
+    hi += lo
+    # Windows are summed straight from ``mass``; the one trailing entry of
+    # ``padded`` lets a window end at the last cylinder, and a block reads
+    # only up to its last window end.
+    padded = np.empty(count + 1)
+    padded[count] = 0.0
+    mass = mass.take(order, out=padded[:count], mode="clip")
+    del width, order
     # Cylinder i comes within delta of cylinders i + 1 .. ends[i] - 1.
-    ends = np.searchsorted(lo, hi + delta, side="right")
-    later = ends - np.arange(1, count + 1)
+    shifted = hi + delta
+    ends = np.searchsorted(lo, shifted, side="right")
+    later = np.subtract(ends, np.arange(1, count + 1), out=shifted.view(np.int64))
+    del shifted
     rows = np.flatnonzero(later > 0)
     pairs = count + int(later[rows].sum())
+    del later
     if pairs > cap:
         raise ResourceCapError(
             f"diagonal walk needs {pairs} level-{depth} cylinder pairs, cap={cap}")
     # Diagonal pairs: both points in one cylinder, so distance <= width.
     upper = float(np.sum(mass * mass))
     lower = float(np.sum(mass[hi - lo <= delta] ** 2))
-    # Windows are summed straight from ``mass``; its one trailing entry
-    # lets a window end at the last cylinder, and a block reads only up to
-    # its last window end.
-    padded = np.append(mass, 0.0)
     reach = np.maximum.accumulate(hi)
     step = max(1, _PAIR_ENTRIES // 8)
     for start in range(0, len(rows), step):

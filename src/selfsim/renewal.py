@@ -355,8 +355,12 @@ def _run_chunks(
     if threads is not None:
         workers = min(workers, threads)
     slots = [_Slot(min(_CHUNK, n_samples)) for _ in range(workers)]
-    # Imported here so that loading the CLI does not pay for it.
+    # Imported here so that loading the CLI does not pay for it, and on this
+    # thread: numpy.random loads on first use, and its module objects would
+    # otherwise sit in a worker's malloc arena for the life of the process.
     from concurrent.futures import ThreadPoolExecutor
+
+    import numpy.random  # noqa: F401
 
     def submit(index: int):
         # Sized on submission, so what is held before the first draw does

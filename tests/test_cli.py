@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,7 +384,7 @@ def test_luroth_figure_csv_bytes_match_the_fraction_oracle(digits, level, tmp_pa
     assert out.read_bytes() == csv_bytes(["index", "left", "right"], want)
 
 
-# sha256 of the level-14 Luroth {2,3} figure: 16 384 rows, two write blocks.
+# sha256 of the level-14 Luroth {2,3} figure: 16 384 rows, eight blocks.
 FIGURE_14_SHA256 = "626d59a3cb103e5c8bb5d9ac6236b4b808dc02c111169fdf5ab8cebe95a40a60"
 
 
@@ -392,8 +393,58 @@ def test_luroth_figure_level14_digest(tmp_path, capsys):
     assert run(["luroth-figure", "--spec", LUROTH_SPEC, "--level", "14",
                 "--out", str(out)], capsys)[0] == 0
     table = json.loads((tmp_path / "fig.json").read_text())["tables"]["main"]
-    assert table["rows"] == 2 ** 14 > selfsim.cli._BLOCK_ROWS
+    assert table["rows"] == 2 ** 14 > selfsim.luroth._FIGURE_BLOCK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == table["sha256"] == FIGURE_14_SHA256
+
+
+# sha256 of figures written whole before the cylinders came in blocks of at
+# most 2048: one block, a block's subtree split in K^b rows, and levels of
+# 4, 8 and 512 blocks.
+FIGURE_SHA256 = {
+    ((2, 3), 1): "7b8e724481a6f66479ca3d30433abce417a8e5345a98cc995001f131591b5682",
+    ((2, 3), 11): "c5c622c91757bace9898d19b543db4feeee99c3edf44f407038092d29177ac03",
+    ((2, 3), 13): "45d6016a8c4ab637fcdf3258158e424d4f1be1df4909eae079051c83099e7cfa",
+    ((2, 3), 20): "2c616b84404d10f9bff592decc85915d29c0969336524293e3410d5e1984f49c",
+    ((2, 3, 5, 7), 5): "7bc198e88539616703d1ee69c008d0399ce11c2aea9dda8697702a98431e4e9c",
+    ((2, 3, 5, 7), 6): "00943c5d700b3e825683fc5241b468fdb27f41523ce4aa1372b53ef0a28a53e7",
+    ((3, 4, 9), 7): "82a342a3b740444de0ea3780fbb44d44a258f7b831f5499ac3c106b1a634ebc2",
+    ((2, 5, 11), 9): "fc5c44ce0498ae076ee9121dd64503a6bddd6d4da914b5766edb8bec280e31da",
+}
+
+
+@pytest.mark.parametrize("digits, level", list(FIGURE_SHA256),
+                         ids=[f"{','.join(map(str, d))}@{n}" for d, n in FIGURE_SHA256])
+def test_luroth_figure_digests_across_blocks(digits, level, tmp_path, capsys):
+    out = tmp_path / "fig.csv"
+    code, stdout, _ = run(["luroth-figure", "--spec", json.dumps({"luroth": list(digits)}),
+                           "--level", str(level), "--out", str(out)], capsys)
+    count = len(digits) ** level
+    assert code == 0 and stdout == f"luroth-figure level={level} count={count}\n"
+    table = json.loads((tmp_path / "fig.json").read_text())["tables"]["main"]
+    assert table["rows"] == count
+    digest = hashlib.sha256()
+    with out.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    assert digest.hexdigest() == table["sha256"] == FIGURE_SHA256[digits, level]
+
+
+def test_luroth_figure_memory_is_flat_in_the_level(tmp_path, capsys):
+    # The cylinders come one block at a time, so the traced peak does not
+    # grow with the 2^level rows: about 1.1 MB at levels 14, 16 and 18.
+    # Holding them all took 4.8, 13 and 50 MB.  Level 16 keeps the test
+    # short, as tracemalloc slows the row loop about fivefold.
+    argv = ["luroth-figure", "--spec", LUROTH_SPEC, "--out", str(tmp_path / "fig.csv")]
+    assert run(argv + ["--level", "3"], capsys)[0] == 0
+    peaks = {}
+    for level in (14, 16):
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--level", str(level)], capsys)[0] == 0
+            peaks[level] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < peaks[14] + 2 ** 19
 
 
 def test_beta_and_matveev_commands(capsys):
@@ -668,3 +719,25 @@ def test_commands_run_without_importing_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# numpy 2's np.unique loads numpy.ma, about 15 ms in a fresh interpreter.
+NUMPY_MA_FREE_RUN = """
+import sys
+import selfsim.cli
+out = sys.argv[1]
+for spec, extra in (('{"luroth": [2, 3]}', []), ('{"maps": [["9/10", "0"], ["1/20", "19/20"]]}',
+                                                  ["--l", "2"])):
+    assert selfsim.cli.main(["dioph-scan", "--spec", spec, "--b-max", "2000",
+                             "--out", out + "/dioph.csv"] + extra) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_dioph_scan_does_not_import_numpy_ma(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", NUMPY_MA_FREE_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

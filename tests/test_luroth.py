@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import luroth_cylinders, luroth_partial_sum
+from selfsim.luroth import _figure_cylinders
 from selfsim import (
     InputError,
     LurothDigits,
@@ -134,6 +135,11 @@ def test_figure_intervals_level3_golden():
 
 
 def test_figure_intervals_match_fraction_oracle():
+    # Several blocks of K^b <= 2048 cylinders, with b = 11, 6, 5 and 3, and
+    # one block of more when K alone exceeds 2048.
+    for digits, level in (((2, 3), 12), ((2, 3, 5), 8), ((2, 3, 5, 7), 6),
+                          ((5, 6, 7, 8, 9, 10, 11), 5), (tuple(range(2, 2051)), 1)):
+        assert figure_intervals(digits, level) == luroth_cylinders(digits, level)
     rng = np.random.default_rng(67)
     for _ in range(40):
         digits = tuple(int(d) for d in rng.choice(np.arange(2, 61), size=int(rng.integers(1, 5)),
@@ -142,6 +148,16 @@ def test_figure_intervals_match_fraction_oracle():
         top = max(n for n in range(1, 9) if len(digits) ** n <= 4096)
         level = int(rng.integers(1, top + 1))
         assert figure_intervals(digits, level) == luroth_cylinders(digits, level)
+
+
+def test_figure_cylinders_refuse_before_the_first_block():
+    # The refusals come from the call, not from the first block drawn.
+    for digits, level, error in (((2, 3), 20, ResourceCapError), ((2, 3), 0, InputError),
+                                 ((2, 1), 3, InputError), ((2,), 300000, InputError)):
+        with pytest.raises(error):
+            _figure_cylinders(digits, level, 100 if error is ResourceCapError else 10 ** 9)
+    blocks = list(_figure_cylinders((2, 3), 13, 10 ** 9))
+    assert [len(block) for block in blocks] == [2048] * 4
 
 
 def test_beta_values_golden():

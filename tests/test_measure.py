@@ -293,16 +293,16 @@ def test_diagonal_sweep_memory_is_blocked(luroth23):
 
 
 def test_diagonal_sweep_peak_at_depth_16(luroth23):
-    # The level arrays, the running maximum of the right ends and one block
-    # of at most 65 536 pairs peak at about 6.4 MB; blocks of 2^18 pairs
-    # peaked at about 17 MB.
+    # The sorted left and right ends, the padded masses, the window ends,
+    # the running maximum of the right ends and one block of at most 65 536
+    # pairs peak at about 4.4 MiB; four more level arrays would pass 6 MiB.
     tracemalloc.start()
     try:
         diagonal_mass(luroth23, 1e-6, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+    assert peak < 5 * 2 ** 20
 
 
 def _level_words(ifs, depth):
