@@ -36,14 +36,12 @@ from .errors import InputError, PreconditionError, ResourceCapError
 from .ifs import DEFAULT_WORD_CAP
 
 # Fixed Monte Carlo chunk; the sample stream is a pure function of
-# (seed, chunk index), so totals do not depend on scheduling.
-_CHUNK = 1 << 16
+# (seed, chunk index), so totals do not depend on scheduling.  A slot's
+# work arrays for one chunk hold about 1 MB.
+_CHUNK = 1 << 14
 # Runs drawn at a time by the walkers that have not crossed yet; at
 # least 3, as the walkers that cross reuse three rows of a slot's ``runs``.
 _PANEL = 3
-# Columns of a panel walked at a time: a slot's work rows hold one block,
-# about 1 MB, whatever the chunk size.
-_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -143,25 +141,21 @@ def _check_walk(lam: AuxiliaryMeasure, t: float, walkers: int, cap: int) -> None
 class _Slot:
     """Work arrays of one chunk in flight, for up to ``size`` walkers.
 
-    ``pos`` holds the positions of the walkers below t, which a panel
-    walks in blocks of up to _BLOCK columns.  For the block in hand,
     ``ends`` holds a row of positions carried into the panel and one row
     per run of the panel: the uniforms are drawn into those rows and
     become the run ends in place.  ``runs`` holds each run's steps of d,
     then the position after them, ``work`` serves one row at a time, and
-    ``mask`` flags the walkers that crossed.  That is 8 bytes per walker
-    and 65 per block column (1.6 MB for a full chunk), allocated once by
-    the calling thread: temporaries made on a worker would go to that
-    thread's malloc arena, which keeps them after they are freed.
+    ``mask`` flags the walkers that crossed.  That is 65 bytes per walker
+    (1.0 MB for a full chunk), allocated once by the calling thread:
+    temporaries made on a worker would go to that thread's malloc arena,
+    which keeps them after they are freed.
     """
 
     def __init__(self, size: int) -> None:
-        block = min(size, _BLOCK)
-        self.pos = np.empty(size)
-        self.ends = np.empty((_PANEL + 1) * block)
-        self.runs = np.empty(_PANEL * block)
-        self.work = np.empty(block)
-        self.mask = np.empty(block, dtype=bool)
+        self.ends = np.empty((_PANEL + 1) * size)
+        self.runs = np.empty(_PANEL * size)
+        self.work = np.empty(size)
+        self.mask = np.empty(size, dtype=bool)
 
 
 def _chunk_overshoots(
@@ -180,17 +174,13 @@ def _chunk_overshoots(
     construction for independent parallel streams.  A walker moves in
     runs of steps of the heaviest atom d (the first of largest mass
     p_d), each closed by one step of another atom.  Walkers below t take
-    _PANEL runs per panel of the stream: with ``live`` walkers left, the
-    panel's uniform j * live + i is run j of live walker i, so none draws
-    past the panel in which it crosses.  A panel is walked in blocks of
-    up to _BLOCK columns; a block draws its segment of each run's row
-    after moving the generator there with PCG64DXSM.advance (modulo
-    2^128 to go back), and the last block leaves it at the panel's end.
-    The overshoots fill ``out`` in the order the walkers cross: panel by
-    panel, and by column within a panel.
+    _PANEL runs per ``rng.random((_PANEL, live))`` panel, entry [j, i]
+    being run j of live walker i, so none draws past the panel in which
+    it crosses.  The overshoots fill ``out`` in the order the walkers
+    cross: panel by panel, and by column within a panel.
 
     A uniform u gives X = log(u) / log(p_d), with numpy's float64 log of
-    a block's rows: the run takes G = floor(X) steps of d, a geometric
+    the whole panel: the run takes G = floor(X) steps of d, a geometric
     count, and u = 0 gives X = inf, a run that surely crosses.  For a
     single atom log(p_d) is taken as -0.0, so its one run never closes.
     The closing atom is the other atom of two; among K >= 3 it is the
@@ -207,7 +197,7 @@ def _chunk_overshoots(
     k <= G, and at the run's end otherwise.  k is counted up from
     ceil((t - begin) / l_d) - 1, at most twice.  The overshoot is that
     position minus t.  Every array but the two index lists of each
-    block lives in ``slot`` and ``out``, so a worker thread allocates
+    panel lives in ``slot`` and ``out``, so a worker thread allocates
     little.  Indices are always in range; mode="clip" only keeps
     ``take`` from buffering its output.
     """
@@ -226,88 +216,74 @@ def _chunk_overshoots(
         cuts = (np.log(1.0 - rest[:-1] / rest[-1] * (1.0 - masses[d])) / log_p).tolist()
     rng = np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(chunk_index,))))
-    pos = slot.pos[:count]
-    pos.fill(0.0)
-    # The panel's first uniform and the generator's place in the stream.
-    n, done, base, sits = count, 0, 0, 0
+    n, done = count, 0
+    slot.ends[:n].fill(0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         while n:
-            kept = 0
-            for c0 in range(0, n, _BLOCK):
-                w = min(_BLOCK, n - c0)
-                flat_ends, flat_runs = slot.ends[:(_PANEL + 1) * w], slot.runs[:_PANEL * w]
-                ends, runs = flat_ends.reshape(_PANEL + 1, w), flat_runs.reshape(_PANEL, w)
-                work, mask = slot.work[:w], slot.mask[:w]
-                np.copyto(ends[0], pos[c0:c0 + w])
-                for j in range(_PANEL):
-                    skip = base + j * n + c0 - sits
-                    if skip:
-                        rng.bit_generator.advance(skip % (1 << 128))
-                    rng.random(out=ends[j + 1])
-                    sits += skip + w
-                drawn = ends[1:]
-                np.log(drawn, out=drawn)
-                np.divide(drawn, log_p, out=drawn)
-                np.floor(drawn, out=runs)
-                for j in range(1, _PANEL + 1):
-                    x, g = ends[j], runs[j - 1]
-                    if cuts:
-                        np.subtract(x, g, out=x)
-                        atom = work.view(np.intp)
-                        np.greater_equal(x, cuts[0], out=atom)
-                        for c in cuts[1:]:
-                            np.add(atom, np.greater_equal(x, c, out=mask), out=atom)
-                        others.take(atom, out=x, mode="clip")
-                    np.multiply(g, l_d, out=g)
-                    np.add(g, ends[j - 1], out=g)
-                    np.add(g, x if cuts else close, out=x)
-                crossed = np.greater_equal(ends[-1], t, out=mask)
-                hits = np.flatnonzero(crossed)
-                keep = np.flatnonzero(np.logical_not(crossed, out=mask))
-                ends[-1].take(keep, out=pos[kept:kept + len(keep)], mode="clip")
-                kept += len(keep)
-                m = len(hits)
-                del keep
-                if not m:
-                    continue
-                # The m crossing walkers' overshoots go to ``shot``, the next m
-                # entries of ``out``, which serve as a work row until then.
-                # Each one crosses in the run after those of its runs that end
-                # below t; ``at`` indexes that run's start in ``flat_ends`` and
-                # its position after the steps of d, ``after_d``, in ``runs``.
-                shot, at, below = out[done:done + m], work.view(np.intp)[:m], mask[:m]
-                at.fill(0)
-                for j in range(1, _PANEL):
-                    np.less(ends[j].take(hits, out=shot, mode="clip"), t, out=below)
-                    np.add(at, below, out=at)
-                np.multiply(at, w, out=at)
-                np.add(at, hits, out=at)
-                after_d = flat_runs.take(at, out=shot, mode="clip")
-                # ``runs`` is read; its first 3m entries serve as work rows.
-                begin, pt, k = (slot.runs[i * m:(i + 1) * m] for i in range(3))
-                flat_ends.take(at, out=begin, mode="clip")
-                # The least k with begin + k * l_d >= t: from ceil((t - begin)
-                # / l_d) - 1, one up where the position falls short, twice.
-                np.subtract(t, begin, out=k)
-                np.divide(k, l_d, out=k)
-                np.ceil(k, out=k)
-                np.subtract(k, 1.0, out=k)
-                for _ in range(2):
-                    np.multiply(k, l_d, out=pt)
-                    np.add(pt, begin, out=pt)
-                    np.add(k, np.less(pt, t, out=below), out=k)
+            flat_ends, flat_runs = slot.ends[:(_PANEL + 1) * n], slot.runs[:_PANEL * n]
+            ends, runs = flat_ends.reshape(_PANEL + 1, n), flat_runs.reshape(_PANEL, n)
+            work, mask = slot.work[:n], slot.mask[:n]
+            drawn = ends[1:]
+            rng.random(out=drawn)
+            np.log(drawn, out=drawn)
+            np.divide(drawn, log_p, out=drawn)
+            np.floor(drawn, out=runs)
+            for j in range(1, _PANEL + 1):
+                x, g = ends[j], runs[j - 1]
+                if cuts:
+                    np.subtract(x, g, out=x)
+                    atom = work.view(np.intp)
+                    np.greater_equal(x, cuts[0], out=atom)
+                    for c in cuts[1:]:
+                        np.add(atom, np.greater_equal(x, c, out=mask), out=atom)
+                    others.take(atom, out=x, mode="clip")
+                np.multiply(g, l_d, out=g)
+                np.add(g, ends[j - 1], out=g)
+                np.add(g, x if cuts else close, out=x)
+            crossed = np.greater_equal(ends[-1], t, out=mask)
+            hits = np.flatnonzero(crossed)
+            keep = np.flatnonzero(np.logical_not(crossed, out=mask))
+            m = len(hits)
+            # The m crossing walkers' overshoots go to ``shot``, the next m
+            # entries of ``out``, which serve as a work row until then.
+            # Each one crosses in the run after those of its runs that end
+            # below t; ``at`` indexes that run's start in ``flat_ends`` and
+            # its position after the steps of d, ``after_d``, in ``runs``.
+            shot, at, below = out[done:done + m], work.view(np.intp)[:m], mask[:m]
+            at.fill(0)
+            for j in range(1, _PANEL):
+                np.less(ends[j].take(hits, out=shot, mode="clip"), t, out=below)
+                np.add(at, below, out=at)
+            np.multiply(at, n, out=at)
+            np.add(at, hits, out=at)
+            after_d = flat_runs.take(at, out=shot, mode="clip")
+            # ``runs`` is read; its first 3m entries serve as work rows.
+            begin, pt, k = (slot.runs[i * m:(i + 1) * m] for i in range(3))
+            flat_ends.take(at, out=begin, mode="clip")
+            # The least k with begin + k * l_d >= t: from ceil((t - begin)
+            # / l_d) - 1, one up where the position falls short, twice.
+            np.subtract(t, begin, out=k)
+            np.divide(k, l_d, out=k)
+            np.ceil(k, out=k)
+            np.subtract(k, 1.0, out=k)
+            for _ in range(2):
                 np.multiply(k, l_d, out=pt)
                 np.add(pt, begin, out=pt)
-                np.greater_equal(after_d, t, out=below)
-                np.add(at, w, out=at)
-                flat_ends.take(at, out=shot, mode="clip")
-                np.copyto(shot, pt, where=below)
-                np.subtract(shot, t, out=shot)
-                done += m
-                # Freed before the next block allocates, as ``keep`` was.
-                del hits
-            base += _PANEL * n
-            n = kept
+                np.add(k, np.less(pt, t, out=below), out=k)
+            np.multiply(k, l_d, out=pt)
+            np.add(pt, begin, out=pt)
+            np.greater_equal(after_d, t, out=below)
+            np.add(at, n, out=at)
+            flat_ends.take(at, out=shot, mode="clip")
+            np.copyto(shot, pt, where=below)
+            np.subtract(shot, t, out=shot)
+            done += m
+            # The walkers below t move to the next panel's first row only
+            # now, as a crossing run can start in row 0.
+            n = len(keep)
+            ends[-1].take(keep, out=slot.ends[:n], mode="clip")
+            # Only these two lists are allocated per panel; none outlives it.
+            del hits, keep
     return out
 
 
@@ -345,7 +321,7 @@ def _run_chunks(
     slot is free once its worker returns, so chunk i + workers is
     started as soon as chunk i's result is fetched, before chunk i is
     yielded: the workers keep sampling while the caller consumes.  Each
-    chunk has its own output array, so up to workers + 1 of them, 512 KB
+    chunk has its own output array, so up to workers + 1 of them, 128 KB
     each, are alive at once.  Each chunk's stream depends on (seed,
     chunk index) alone, so the overshoots do not depend on the worker
     count.
@@ -532,11 +508,11 @@ def renewal_expectation_mc(
 
     Up to ``threads`` chunks, and never more than the CPUs this process
     may use (the default), are sampled at once on a thread pool, each
-    with about 1.6 MB of work arrays; ``g`` is applied on the calling
+    with about 1.0 MB of work arrays; ``g`` is applied on the calling
     thread in chunk order, so the result is the same for every thread
     count and ``g`` need not be thread-safe.  Chunk i + workers is
     started as soon as chunk i is fetched, so the workers sample while
-    ``g`` runs, and up to one overshoot array of 512 KB per worker, and
+    ``g`` runs, and up to one overshoot array of 128 KB per worker, and
     one more, are alive at once.
     """
     if threads is not None and threads < 1:

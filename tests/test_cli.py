@@ -469,7 +469,7 @@ def test_renewal_command_reproducible(tmp_path, capsys):
     b = json.loads((tmp_path / "r2.json").read_text())
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
-    # Three chunks, the last one short: the bytes do not depend on how
+    # Nine chunks, the last one short: the bytes do not depend on how
     # many of them are sampled at once.
     base[base.index("2000")] = "140000"
     outs = []

@@ -35,7 +35,7 @@ from selfsim.cli import parse_spec
 from selfsim.luroth import luroth_natural_ifs
 import selfsim.renewal
 from selfsim.renewal import (
-    _BLOCK, _CHUNK, _GL_NODES, _GL_WEIGHTS, _PANEL, _chunk_overshoots, _Slot)
+    _CHUNK, _GL_NODES, _GL_WEIGHTS, _PANEL, _chunk_overshoots, _Slot)
 
 # Limit value of E exp(0.3i * overshoot) for the Luroth {2,3} walk, frozen
 # from the quadrature path and cross-checked by interval subdivision.
@@ -216,9 +216,9 @@ def test_renewal_validation(luroth_lambda):
 
 def test_chunk_memory_stays_bounded_for_long_walks():
     # Steps of -log(0.9) need up to 287 draws per walker to cross t = 30,
-    # so one chunk drawn at once would hold about 150 MB; panels of runs
-    # for the walkers still below t, walked in blocks, hold the slot's
-    # 1.6 MB, the 512 KB output and the index lists of one block (2.3 MB).
+    # so one chunk drawn at once would hold about 38 MB; panels of runs
+    # for the walkers still below t hold the slot's 1.0 MB, the 128 KB
+    # output and the index lists of one panel (1.3 MB).
     ifs = WeightedIFS((0, 1), (Similitude(0.9, 0.0), Similitude(0.05, 0.95)), (0.5, 0.5))
     lam = auxiliary_measure(ifs)
     tracemalloc.start()
@@ -229,11 +229,11 @@ def test_chunk_memory_stays_bounded_for_long_walks():
         tracemalloc.stop()
     assert len(overshoots) == _CHUNK
     assert np.all((overshoots >= 0.0) & (overshoots < -math.log(0.05)))
-    assert peak < 2.5 * 2 ** 20
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_chunk_sizes_are_not_listed_before_the_first_draw(luroth_lambda):
-    # 10^12 samples are about 15 million chunks; the first chunk comes
+    # 10^12 samples are about 61 million chunks; the first chunk comes
     # back without a list of every chunk's size being built first.
     tracemalloc.start()
     try:
@@ -265,19 +265,14 @@ SAMPLER_SPECS = {
 
 @pytest.mark.parametrize("t", [0.3, 5.0, 30.0, 100.0])
 @pytest.mark.parametrize("name", sorted(SAMPLER_SPECS))
-def test_chunk_overshoots_match_choice_sampler(name, t, monkeypatch):
-    # Blocks of 7 and 64 walkers put block seams inside the panels; the
-    # counts start a chunk one short of a block, at one block, one over,
-    # and three blocks and five over.
+def test_chunk_overshoots_match_choice_sampler(name, t):
+    # From one walker to a full chunk, and one short of it.
     lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
-    for block in (_BLOCK, 7, 64):
-        monkeypatch.setattr(selfsim.renewal, "_BLOCK", block)
-        counts = (1, 999) if block == _BLOCK else (block - 1, block, block + 1, 3 * block + 5)
-        for chunk_index in (0, 7):
-            for count in counts:
-                want = run_overshoots(lam, t, 42, chunk_index, count, _PANEL)
-                got = _chunk_overshoots(lam, t, 42, chunk_index, count)
-                assert np.array_equal(got, want), (name, t, block, chunk_index, count)
+    for chunk_index in (0, 7):
+        for count in (1, 999, _CHUNK - 1, _CHUNK):
+            want = run_overshoots(lam, t, 42, chunk_index, count, _PANEL)
+            got = _chunk_overshoots(lam, t, 42, chunk_index, count)
+            assert np.array_equal(got, want), (name, t, chunk_index, count)
 
 
 def test_chunk_overshoots_match_choice_sampler_for_a_full_chunk(luroth_lambda):
@@ -318,22 +313,18 @@ def test_chunk_stream_is_pinned(luroth_lambda):
     assert sample_overshoot(luroth_lambda, 30.0, seed=11) == 0.22434490556416264
 
 
-def test_chunk_stream_advances_as_drawn():
-    # A block of a panel draws its segment of each row after
-    # PCG64DXSM.advance, forward or (modulo 2^128) back.
-    for (key, chunk_index), want in STREAM_PINS.items():
-        seq = np.random.SeedSequence(key, spawn_key=(chunk_index,))
-        rng = np.random.Generator(np.random.PCG64DXSM(seq))
-        draws = rng.random(40)
-        assert draws[:8].tolist() == want
-        for k, w in ((0, 40), (5, 9), (17, 23)):
-            ahead = np.random.Generator(np.random.PCG64DXSM(seq))
-            ahead.bit_generator.advance(k)
-            assert np.array_equal(ahead.random(w), draws[k:k + w]), (key, k, w)
-            # ``rng`` sits at 40: back to k, w draws, then on to 40 again.
-            rng.bit_generator.advance((k - 40) % 2 ** 128)
-            assert np.array_equal(rng.random(w), draws[k:k + w]), (key, k, w)
-            rng.bit_generator.advance(40 - k - w)
+# Luroth {2,3} at t = 30 over three full chunks and a short one: the
+# streams of several chunks and their fold in chunk order set these bits.
+MULTI_CHUNK_PIN = (0.4785583143245088, -0.7777328105633412, 0.0018157149683661253)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_multi_chunk_result_is_pinned(luroth_lambda, threads, monkeypatch):
+    monkeypatch.setattr(selfsim.renewal, "_available_cpus", lambda: 2)
+    result = renewal_expectation_mc(luroth_lambda, phase_test_function(0.3), 30.0,
+                                    3 * _CHUNK + 1234, seed=6, threads=threads)
+    got = (result.mc_estimate.real, result.mc_estimate.imag, result.mc_stderr)
+    assert got == MULTI_CHUNK_PIN
 
 
 # The reference walks one run at a time in Python, so counts stay small.
@@ -405,14 +396,15 @@ def _binned_law(law, bins):
 @pytest.mark.parametrize("name, t", [("ninety", 30.0), ("luroth23", 30.0),
                                      ("luroth2357", 12.0), ("equal4", 12.0)])
 def test_chunk_overshoots_follow_the_exact_law(name, t):
-    # Sixteen chunks binned against the exact overshoot law, in up to 30
+    # 2^20 samples binned against the exact overshoot law, in up to 30
     # bins; the chi-squared statistic must stay below its 0.999 quantile:
     # 45.31 with 21 bins (ninety), 34.53 with 14 (luroth23) and 48.27 with
     # 23 (luroth2357 and equal4).
     lam = auxiliary_measure(parse_spec(SAMPLER_SPECS[name]).ifs)
     edges, probs = _binned_law(overshoot_law(lam.locations, lam.masses, t), 30)
     assert len(probs) >= 10
-    samples = np.concatenate([_chunk_overshoots(lam, t, 26, i, _CHUNK) for i in range(16)])
+    samples = np.concatenate([_chunk_overshoots(lam, t, 26, i, _CHUNK)
+                              for i in range(2 ** 20 // _CHUNK)])
     counts = np.bincount(np.searchsorted(edges, samples), minlength=len(probs))
     expected = len(samples) * probs
     stat = float(np.sum((counts - expected) ** 2 / expected))
@@ -423,7 +415,7 @@ def test_walk_length_is_capped_before_drawing(luroth_lambda):
     g = phase_test_function(0.3)
     # Luroth {2,3} runs of log-2 steps close with a log-6 step, so t = 1e5
     # needs up to 55 815 uniforms per walker; a full chunk of them is about
-    # 3.7e9 uniform draws.
+    # 9.1e8 uniform draws.
     uniforms = math.ceil(1e5 / math.log(6)) + _PANEL
     with pytest.raises(ResourceCapError, match=f"needs {uniforms} uniforms per walker"):
         renewal_expectation_mc(luroth_lambda, g, 1e5, n_samples=10 ** 6, seed=1)
@@ -453,8 +445,8 @@ def test_ninety_walk_at_t100_fits_the_default_cap():
     assert result.n_samples == 200_000 and math.isfinite(result.mc_stderr)
 
 
-# Three full chunks and a short last one.
-THREAD_SAMPLES = 3 * _CHUNK + 1234
+# Twelve full chunks and a short last one.
+THREAD_SAMPLES = 12 * _CHUNK + 1234
 
 
 @pytest.mark.parametrize("name", ["luroth23", "ninety"])
@@ -497,7 +489,7 @@ def test_observable_runs_on_the_calling_thread_in_chunk_order(luroth_lambda):
     g = RecordingObservable()
     renewal_expectation_mc(luroth_lambda, g, 20.0, THREAD_SAMPLES, seed=4, threads=3)
     assert g.threads == {threading.get_ident()}
-    counts = [_CHUNK, _CHUNK, _CHUNK, 1234]
+    counts = [_CHUNK] * 12 + [1234]
     assert [len(z) for z in g.chunks] == counts
     # Slots are reused across chunks: each chunk still equals a fresh one.
     for index, (z, count) in enumerate(zip(g.chunks, counts)):
@@ -565,8 +557,8 @@ def test_worker_exception_reaches_the_caller(luroth_lambda, monkeypatch):
 @pytest.mark.parametrize("cpus, threads, workers", [(2, 8, 2), (8, None, 4), (8, 1, 1)])
 def test_workers_are_capped_by_the_available_cpus(luroth_lambda, monkeypatch,
                                                   cpus, threads, workers):
-    # Each worker holds a slot of work arrays, so more workers than CPUs
-    # would only add memory.
+    # Each worker holds a slot of work arrays, so more workers than CPUs,
+    # or than the four chunks here, would only add memory.
     seen = set()
     chunk_overshoots = selfsim.renewal._chunk_overshoots
 
@@ -577,7 +569,7 @@ def test_workers_are_capped_by_the_available_cpus(luroth_lambda, monkeypatch,
     monkeypatch.setattr(selfsim.renewal, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(selfsim.renewal, "_chunk_overshoots", recording)
     renewal_expectation_mc(luroth_lambda, phase_test_function(0.3), 20.0,
-                           THREAD_SAMPLES, seed=4, threads=threads)
+                           3 * _CHUNK + 1234, seed=4, threads=threads)
     assert len({ident for ident, _ in seen}) <= workers
     assert len({slot for _, slot in seen}) == workers
     assert threading.get_ident() not in {ident for ident, _ in seen}
@@ -592,7 +584,7 @@ def test_thread_count_is_validated(luroth_lambda):
 @pytest.mark.parametrize("t", [3.0, 30.0, 100.0])
 def test_slot_kernel_allocates_little_whatever_t(t):
     # With its work arrays in a slot, a chunk allocates only the index
-    # lists of each block, 8 bytes per column, and numpy's cast buffers,
+    # lists of each panel, 8 bytes per walker, and numpy's cast buffers,
     # however many panels its walkers need: 0.2 MB at most.
     lam = auxiliary_measure(parse_spec(SAMPLER_SPECS["ninety"]).ifs)
     slot, out = _Slot(_CHUNK), np.empty(_CHUNK)
