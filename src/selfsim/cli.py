@@ -13,12 +13,14 @@ the CSV bytes.  Exit status: 0 success, 2 input error, 3 resource cap,
 
 An invocation builds the argument parser of the command it names and no
 other; only a bare ``selfsim``, ``selfsim -h`` or an unknown command
-builds the tree of all commands.  Table cells are joined with commas
-directly: no cell text holds a comma, a quote or a line break, so no cell
-needs csv quoting, and every block of tuple rows is checked for that.  A
-float array table is rendered in numpy to the exact bytes of "%.17g"
-(selfsim.floatcsv), the luroth-figure table from integer cylinders
-(selfsim.figurecsv).
+builds the tree of all commands.  A table is a triple (header, row
+count, blocks) whose blocks yield the CSV bytes of its rows, so each
+command renders its own rows and the writer only writes: tuple rows
+through _table, whose cells are joined with commas and checked per block
+to need no csv quoting; a float array through _float_blocks, in numpy to
+the exact bytes of "%.17g" (selfsim.floatcsv); the luroth-figure table
+from integer cylinders (luroth._figure_csv).  No block is rendered
+unless --out is given.
 
 Library functions are called through this module's globals, looked up
 at call time, so a tracer can replace them here.
@@ -37,8 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
 from .dimension import natural_weights, solve_moran
 from .diophantine import (
@@ -53,8 +53,8 @@ from .fourier import decay_fit, dyadic_scan
 from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS
 # figure_intervals is unused here; bench/child.py's tracer wraps it under this name.
 from .luroth import (  # noqa: F401
-    _figure_cylinders, beta_prop10, beta_theorem4, figure_intervals, luroth_decode,
-    luroth_encode, luroth_ifs)
+    _figure_csv, _figure_cylinders, beta_prop10, beta_theorem4, figure_intervals,
+    luroth_decode, luroth_encode, luroth_ifs)
 from .measure import diagonal_mass, regularity_scan
 from .renewal import phase_test_function, renewal_expectation_mc
 
@@ -180,62 +180,68 @@ def _unquoted(text: str, rows: int, columns: int) -> str:
     return text
 
 
-def _csv_blocks(header: list[str], rows):
-    """The CSV bytes of one table, header first, then blocks of rows.
+def _tuple_blocks(rows, columns: int):
+    """The CSV bytes of tuple rows, a block of _BLOCK_ROWS rows at a time.
 
-    A float64 array is rendered by floatcsv.FloatCells: each cell is
-    either certified by its fast path or written by "%.17g" itself, so
-    every cell has the bytes of b"%.17g" % cell.  figurecsv.FigureRows
-    writes _fmt's "p/q" for each reduced end.  Other tables are rows of
-    tuples whose cells _fmt renders and commas join.  All give csv.writer's
-    bytes, since no cell needs quoting (a number cannot hold a comma; the
-    other cells are checked per block by _unquoted).
+    _fmt renders each cell and commas join them; _unquoted checks each
+    block, so the bytes are csv.writer's.
     """
-    columns = len(header)
-    yield _unquoted(",".join(header) + "\r\n", 1, columns).encode()
-    if hasattr(rows, "csv_blocks"):  # figurecsv.FigureRows, not imported here
-        yield from rows.csv_blocks()
-        return
-    if isinstance(rows, np.ndarray):
-        from .floatcsv import FloatCells  # compiled only where a float table is written
-
-        cells = FloatCells(min(len(rows), _BLOCK_ROWS) * columns)
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            yield cells.render(rows[start:start + _BLOCK_ROWS])
-        return
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         text = "".join([",".join(map(_fmt, row)) + "\r\n" for row in block])
         yield _unquoted(text, len(block), columns).encode()
 
 
+def _table(header: list[str], rows) -> tuple:
+    """A table of tuple rows: its header, row count and CSV byte blocks."""
+    return header, len(rows), _tuple_blocks(rows, len(header))
+
+
+def _float_blocks(rows):
+    """The CSV bytes of a float64 array, a block of _BLOCK_ROWS rows at a time.
+
+    floatcsv.FloatCells either certifies a cell by its fast path or writes
+    it by "%.17g" itself, so every cell has the bytes of b"%.17g" % cell,
+    and a number holds nothing csv.writer would quote.
+    """
+    from .floatcsv import FloatCells  # compiled only where a float table is written
+
+    cells = FloatCells(min(len(rows), _BLOCK_ROWS) * rows.shape[1])
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield cells.render(rows[start:start + _BLOCK_ROWS])
+
+
 def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: dict,
-                     tables: dict[str, tuple[list[str], object]],
+                     tables: dict[str, tuple[list[str], int, object]],
                      started: float) -> None:
     """Write one CSV per table plus a JSON sidecar describing the run.
 
     The primary table lands at ``args.out``; any extra table is written
-    next to it with its name inserted before the .csv suffix.  A table's
-    rows are tuples, one float array or FigureRows.  The sidecar records
-    each table's header, row count and CSV sha256, not its rows; the hash
-    is taken from the bytes as they are written, so no CSV is read back.
-    If any write raises (a cell past the digit limit, an unopenable
-    sidecar), every file this call opened is removed, so none is left.
+    next to it with its name inserted before the .csv suffix.  A table is
+    (header, row count, blocks): its checked header line is written, then
+    the byte blocks as they come, so rows are rendered once and never
+    held whole.  The sidecar records each table's header, row count and
+    CSV sha256, not its rows; the hash is taken from the bytes as they are
+    written, so no CSV is read back.  If any write raises (a cell past the
+    digit limit, an unopenable sidecar), every file this call opened is
+    removed, so none is left.
     """
     base, ext = os.path.splitext(args.out)
     if ext.lower() != ".csv":
         base, ext = args.out, ".csv"
     written, opened = {}, []
     try:
-        for name, (header, rows) in tables.items():
+        for name, (header, count, blocks) in tables.items():
             path = base + ext if name == "main" else f"{base}.{name}{ext}"
-            digest = hashlib.sha256()
+            head = _unquoted(",".join(header) + "\r\n", 1, len(header)).encode()
+            digest = hashlib.sha256(head)
             with open(path, "wb") as fh:
                 opened.append(path)
-                for data in _csv_blocks(header, rows):
+                fh.write(head)
+                for data in blocks:
                     fh.write(data)
                     digest.update(data)
-            written[name] = {"header": header, "rows": len(rows), "sha256": digest.hexdigest()}
+            written[name] = {"header": header, "rows": count, "sha256": digest.hexdigest()}
         sidecar = {
             "version": __version__,
             "command": args.command,
@@ -272,7 +278,7 @@ def _load_spec(args: argparse.Namespace) -> JobSpec:
 
 def _one_row(summary: dict, header: list[str]) -> dict:
     """A main table holding the summary values named by ``header``."""
-    return {"main": (header, [tuple(summary[k] for k in header)])}
+    return {"main": _table(header, [tuple(summary[k] for k in header)])}
 
 
 def _dim(args, spec):
@@ -282,8 +288,8 @@ def _dim(args, spec):
         "residual": solution.residual,
         "iterations": solution.iterations,
     }
-    return summary, {"main": (["s_star", "residual", "iterations"],
-                              [(solution.s_star, solution.residual, solution.iterations)])}
+    return summary, {"main": _table(["s_star", "residual", "iterations"],
+                                    [(solution.s_star, solution.residual, solution.iterations)])}
 
 
 def _weights(args, spec):
@@ -295,7 +301,7 @@ def _weights(args, spec):
     ]
     summary = {"dim": solution.s_star,
                "weights": ",".join(_fmt(w) for w in nat.weights)}
-    return summary, {"main": (["symbol", "ratio", "translation", "weight"], rows)}
+    return summary, {"main": _table(["symbol", "ratio", "translation", "weight"], rows)}
 
 
 def _fourier_scan(args, spec):
@@ -313,8 +319,8 @@ def _fourier_scan(args, spec):
         "envelope_max": max(e.max_abs for e in envelope),
     }
     return summary, {
-        "main": (["xi", "re", "im", "abs", "error_bound", "method", "cost"], rows),
-        "envelope": (["X", "max_abs", "error_bound"], env_rows),
+        "main": _table(["xi", "re", "im", "abs", "error_bound", "method", "cost"], rows),
+        "envelope": _table(["X", "max_abs", "error_bound"], env_rows),
     }
 
 
@@ -329,7 +335,7 @@ def _decay_fit(args, spec):
         "window_hi": fit.window[1],
         "residual_rms": fit.residual_rms,
     }
-    return summary, {"main": (["X", "max_abs"], list(fit.envelope))}
+    return summary, {"main": _table(["X", "max_abs"], list(fit.envelope))}
 
 
 def _regularity(args, spec):
@@ -339,7 +345,7 @@ def _regularity(args, spec):
         "interval_constant": report.interval_constant,
         "depth": report.depth,
     }
-    return summary, {"main": (["level", "min_exponent", "max_exponent"], report.rows)}
+    return summary, {"main": _table(["level", "min_exponent", "max_exponent"], report.rows)}
 
 
 def _diagonal(args, spec):
@@ -370,7 +376,8 @@ def _dioph_scan(args, spec):
         "log_c": log_c,
         "points": len(report.rows),
     }
-    return summary, {"main": (["b", "gap", "scaled_gap"], report.rows)}
+    return summary, {"main": (["b", "gap", "scaled_gap"], len(report.rows),
+                              _float_blocks(report.rows))}
 
 
 def _matveev(args, spec):
@@ -392,7 +399,8 @@ def _luroth_encode(args, spec):
         "digits": ",".join(str(d) for d in digits.digits),
         "terminating": digits.terminating,
     }
-    return summary, {"main": (["index", "digit"], list(enumerate(digits.digits, start=1)))}
+    return summary, {"main": _table(["index", "digit"],
+                                    list(enumerate(digits.digits, start=1)))}
 
 
 def _luroth_decode(args, spec):
@@ -408,10 +416,10 @@ def _luroth_decode(args, spec):
 
 
 def _luroth_figure(args, spec):
-    from .figurecsv import FigureRows  # compiled only where a figure is built
     cylinders = _figure_cylinders(spec.luroth_digits, args.level, args.cap)
-    return ({"level": args.level, "count": len(cylinders)},
-            {"main": (["index", "left", "right"], FigureRows(cylinders))})
+    count = len(spec.luroth_digits) ** args.level
+    return ({"level": args.level, "count": count},
+            {"main": (["index", "left", "right"], count, _figure_csv(cylinders))})
 
 
 def _beta(args, spec):
@@ -445,7 +453,7 @@ def _renewal(args, spec):
         "n_samples": result.n_samples,
         "lattice": result.lattice,
     }
-    return summary, {"main": (
+    return summary, {"main": _table(
         ["t", "mc_re", "mc_im", "mc_stderr", "limit_re", "limit_im",
          "n_samples", "seed", "lattice"],
         [(result.t, result.mc_estimate.real, result.mc_estimate.imag,

@@ -15,11 +15,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .dimension import natural_weights, solve_moran
 from .diophantine import _check_digits, matveev_degree
-from .errors import InputError, ResourceCapError
+from .errors import DigitLimitError, InputError, ResourceCapError
 from .fourier import theoretical_beta
 from .ifs import DEFAULT_WORD_CAP, Similitude, WeightedIFS, _levels_over_cap
 
@@ -126,7 +126,7 @@ def luroth_decode(digits, exact: bool = False):
     return a / w, 1 / w
 
 
-def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> _Blocks:
+def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> Iterator[list]:
     """Level-``level`` cylinders [A/W, (A+1)/W] of the digits, as sorted blocks of pairs (A, W).
 
     Each word's image of [0,1] is refined as in _refine_cylinder; the maps
@@ -141,7 +141,8 @@ def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> _Blocks:
     (d * (d - 1)) ** (level / 2).  When that bound has more digits than
     the interpreter's int-to-str limit (4300, CPython's default, where the
     interpreter sets none), InputError is raised, as are a bad digit set or
-    level and ResourceCapError, by this call, before any cylinder is built.
+    level and ResourceCapError, by this call, before any cylinder is built;
+    it returns a generator of the blocks.
     """
     ds = _digit_set(digits)
     if level < 1:
@@ -169,20 +170,32 @@ def _figure_cylinders(digits: Iterable[int], level: int, cap: int) -> _Blocks:
                 block = [(m * (d * a + 1), q * w) for a, w in block for d, m, q in factors]
             yield block
 
-    return _Blocks(blocks(), len(ds) ** level)
+    return blocks()
 
 
-class _Blocks:
-    """The sorted blocks of _figure_cylinders, to be iterated once, and their cylinder count."""
+def _figure_csv(blocks: Iterable[list]) -> Iterator[bytes]:
+    """The luroth-figure rows of sorted cylinder blocks (A, W), as CSV bytes a block at a time.
 
-    def __init__(self, blocks, count: int) -> None:
-        self.blocks, self.count = blocks, count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return self.blocks
+    A cylinder [A/W, (A+1)/W] is the row "index,p/q,r/s" with both ends
+    reduced by math.gcd, the bytes of the Fraction pair (a right end of 1
+    reads "1/1"); each block is rendered with one bytes %-format, so no
+    Fraction is built.  An end with more digits than the int-to-str limit
+    is refused with DigitLimitError, as cli._fmt refuses it.
+    """
+    gcd, start = math.gcd, 0
+    for cylinders in blocks:
+        cells = []
+        for i, (a, w) in enumerate(cylinders, start):
+            g, h = gcd(a, w), gcd(a + 1, w)
+            cells += (i, a // g, w // g, (a + 1) // h, w // h)
+        start += len(cylinders)
+        # Freed before the next block is built, so one block is alive at a time.
+        del cylinders
+        try:
+            block = b"%d,%d/%d,%d/%d\r\n" * (len(cells) // 5) % tuple(cells)
+        except ValueError as exc:
+            raise DigitLimitError() from exc
+        yield block
 
 
 def figure_intervals(digits: Iterable[int], level: int,

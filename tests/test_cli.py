@@ -510,6 +510,11 @@ def _edge_floats():
     return values + [-v for v in values]
 
 
+def rows_bytes(header, rows):
+    """csv.writer's bytes of the rows, without the header line."""
+    return csv_bytes(header, rows).split(b"\r\n", 1)[1]
+
+
 def test_csv_blocks_render_like_the_row_writer():
     header = ["a", "b", "c"]
     values = [[1.0, -0.0, math.inf], [-math.inf, math.nan, 0.1], [1e16, 5e-324, -2.5e-300],
@@ -517,15 +522,16 @@ def test_csv_blocks_render_like_the_row_writer():
     edges = _edge_floats()
     edges += [0.0] * (-len(edges) % 3)
     values += np.array(edges).reshape(-1, 3).tolist()
-    data = b"".join(selfsim.cli._csv_blocks(header, np.array(values)))
-    assert data == csv_bytes(header, values)
+    data = b"".join(selfsim.cli._float_blocks(np.array(values)))
+    assert data == rows_bytes(header, values)
     mixed = [(True, Fraction(2, 3), 7, "cylinder", 0.5, np.float64(0.1), np.int64(-3),
               np.bool_(True), -0.0, math.inf),
              (False, Fraction(-1, 4), 0, "x", math.nan, np.float64(-math.inf), np.int64(2 ** 40),
               np.bool_(False), 1e-310, -1 / 3)]
     header = [f"c{i}" for i in range(10)]
-    data = b"".join(selfsim.cli._csv_blocks(header, mixed))
-    assert data == csv_bytes(header, mixed)
+    _, count, blocks = selfsim.cli._table(header, mixed)
+    assert count == len(mixed)
+    assert b"".join(blocks) == rows_bytes(header, mixed)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -544,8 +550,8 @@ def test_float_csv_bytes_match_the_row_writer_on_raw_bit_patterns(patterns, seed
     bits[middle:middle + len(drawn)] = drawn
     table = bits.view(np.float64).reshape(rows, 3)
     header = ["x", "y", "z"]
-    data = b"".join(selfsim.cli._csv_blocks(header, table))
-    assert data == csv_bytes(header, table.tolist())
+    data = b"".join(selfsim.cli._float_blocks(table))
+    assert data == rows_bytes(header, table.tolist())
 
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
@@ -553,7 +559,7 @@ def test_csv_cell_that_needs_quoting_is_refused(cell):
     # csv.writer would quote these cells; joined plainly they would give
     # other bytes, so the block is refused instead.
     with pytest.raises(InternalInvariantError, match="quoting"):
-        b"".join(selfsim.cli._csv_blocks(["a", "b"], [(1, 2.0), (cell, 3)]))
+        b"".join(selfsim.cli._table(["a", "b"], [(1, 2.0), (cell, 3)])[2])
 
 
 def test_command_parser_help_matches_the_full_tree(capsys):

@@ -240,6 +240,13 @@ BAD_INPUT = [
     ["dim", "--spec", '{"luroth": ["a", 2]}'],
     ["dim", "--spec", '{"luroth": []}'],
     ["fourier-scan", "--spec", LUROTH, "--t", "6", "--xi-max", "8", "--threads", "0"],
+    ["luroth-encode", "--x", "abc"],
+    ["luroth-encode", "--x", "1/0"],
+    ["luroth-encode", "--x", "1/2", "--n", "0"],
+    ["beta", "--spec", '{"luroth": [2]}'],
+    ["fourier-scan", "--spec", LUROTH, "--t", "6", "--xi-max", "8", "--points-per-octave", "0"],
+    ["regularity", "--spec", LUROTH, "--depth", "0"],
+    ["diagonal", "--spec", LUROTH, "--delta", "0.1", "--depth", "0"],
 ]
 
 

@@ -60,6 +60,16 @@ def test_moran_preconditions():
     with pytest.raises(PreconditionError) as err:
         solve_moran(overlapping)
     assert "disjointness" in str(err.value)
+    # Three maps of ratio 1/3 + 6e-13 whose neighbours overlap by 9e-13,
+    # within the disjointness tolerance, but whose total length
+    # 1.0000000000018 exceeds 1.
+    r = 1 / 3 + 0.6e-12
+    crowded = WeightedIFS(
+        (0, 1, 2),
+        tuple(Similitude(r, t) for t in (0.0, r - 0.9e-12, 2 * r - 1.8e-12)),
+        (1 / 3, 1 / 3, 1 / 3))
+    with pytest.raises(PreconditionError, match="total level-1 length"):
+        solve_moran(crowded)
 
 
 def test_moran_value_validation():

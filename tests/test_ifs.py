@@ -60,6 +60,8 @@ def test_weighted_ifs_validation():
         WeightedIFS((0, 1), maps, (1.0, 0.0))  # zero weight
     with pytest.raises(InputError):
         WeightedIFS((0,), maps, (0.5, 0.5))  # length mismatch
+    with pytest.raises(InputError, match="non-empty"):
+        WeightedIFS((), (), ())
 
 
 def test_compose_word_applies_first_symbol_first(luroth23):

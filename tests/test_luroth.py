@@ -59,6 +59,8 @@ def test_encode_known_points():
         luroth_encode(0, 5)
     with pytest.raises(InputError):
         luroth_encode(1.5, 5)
+    with pytest.raises(InputError, match="exact number"):
+        luroth_encode("abc", 3)
 
 
 def test_decode_known_values():

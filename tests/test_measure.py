@@ -62,6 +62,8 @@ def test_interval_mass_validation(luroth23):
         interval_mass_bounds(luroth23, (0.5, 0.2), 3)
     with pytest.raises(InputError):
         interval_mass_bounds(luroth23, (-0.5, 0.2), 3)
+    with pytest.raises(InputError, match="depth"):
+        interval_mass_bounds(luroth23, (0.2, 0.5), -1)
     with pytest.raises(ResourceCapError):
         # Boundary-chasing keeps the walk tiny, so only a minuscule cap trips.
         interval_mass_bounds(luroth23, (0.3, 0.7), 40, cap=5)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import sys
 import threading
 import time
@@ -7,6 +8,10 @@ import tracemalloc
 import warnings
 
 import numpy as np
+# numpy.random loads on first use, about 0.8 MB that the traced memory
+# bounds below would count in whichever test first touched it; it is
+# loaded here, as renewal._run_chunks loads it before its workers start.
+import numpy.random  # noqa: F401
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -573,6 +578,16 @@ def test_workers_are_capped_by_the_available_cpus(luroth_lambda, monkeypatch,
     assert len({ident for ident, _ in seen}) <= workers
     assert len({slot for _, slot in seen}) == workers
     assert threading.get_ident() not in {ident for ident, _ in seen}
+
+
+def test_available_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    # Where os.sched_getaffinity is missing (macOS, Windows) the CPU count
+    # stands in, and 1 where even that is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert selfsim.renewal._available_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert selfsim.renewal._available_cpus() == 1
 
 
 def test_thread_count_is_validated(luroth_lambda):
