@@ -17,10 +17,9 @@ builds the tree of all commands.  A table is a triple (header, row
 count, blocks) whose blocks yield the CSV bytes of its rows, so each
 command renders its own rows and the writer only writes: tuple rows
 through _table, whose cells are joined with commas and checked per block
-to need no csv quoting; a float array through _float_blocks, in numpy to
-the exact bytes of "%.17g" (selfsim.floatcsv); the luroth-figure table
-from integer cylinders (luroth._figure_csv).  No block is rendered
-unless --out is given.
+to need no csv quoting, and the luroth-figure table from integer
+cylinders (luroth._figure_csv).  No block is rendered unless --out is
+given.
 
 Library functions are called through this module's globals, looked up
 at call time, so a tracer can replace them here.
@@ -197,20 +196,6 @@ def _table(header: list[str], rows) -> tuple:
     return header, len(rows), _tuple_blocks(rows, len(header))
 
 
-def _float_blocks(rows):
-    """The CSV bytes of a float64 array, a block of _BLOCK_ROWS rows at a time.
-
-    floatcsv.FloatCells either certifies a cell by its fast path or writes
-    it by "%.17g" itself, so every cell has the bytes of b"%.17g" % cell,
-    and a number holds nothing csv.writer would quote.
-    """
-    from .floatcsv import FloatCells  # compiled only where a float table is written
-
-    cells = FloatCells(min(len(rows), _BLOCK_ROWS) * rows.shape[1])
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        yield cells.render(rows[start:start + _BLOCK_ROWS])
-
-
 def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: dict,
                      tables: dict[str, tuple[list[str], int, object]],
                      started: float) -> None:
@@ -366,18 +351,20 @@ def _dioph_scan(args, spec):
         log_c = matveev_log_constant(a1, a2)
     else:
         raise InputError("--l is required unless the spec is a multi-digit luroth set")
-    report = weakly_diophantine_scan(lam, power, args.b_max, args.grid, cap=args.cap)
+    report = weakly_diophantine_scan(lam, power, args.b_max, cap=args.cap)
     summary = {
         "degree_l": report.degree_l,
         "scan_min": report.scan_min,
+        "scan_min_lower": report.scan_min_lower,
         "scan_argmin": report.scan_argmin,
         "lattice": report.lattice,
         "classification": report.classification,
         "log_c": log_c,
         "points": len(report.rows),
+        "evaluations": report.evaluations,
     }
-    return summary, {"main": (["b", "gap", "scaled_gap"], len(report.rows),
-                              _float_blocks(report.rows))}
+    return summary, {"main": _table(
+        ["b", "gap", "scaled_gap", "gap_lower", "block_lo", "block_hi"], report.rows)}
 
 
 def _matveev(args, spec):
@@ -518,8 +505,6 @@ COMMANDS = {
                    "2*l - 2, l the matveev degree of its two smallest digits"),
         _flag("--b-max", type=float, default=1e4,
               help="largest frequency (default %(default)s)"),
-        _flag("--grid", type=int, default=2048,
-              help="uniform grid size before refinement (default %(default)s)"),
         _CAP,
     )),
     "matveev": Command("two-logarithm degree and constant", None, _matveev, (

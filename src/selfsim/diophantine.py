@@ -3,11 +3,11 @@
 The auxiliary measure of a weighted system puts mass p_w at -log(r_w) for
 each alphabet symbol.  Its Laplace transform on the imaginary axis detects
 near-resonances: frequencies b where 1 - L(i*b) nearly vanishes.  The scan
-here tracks how fast those near-zeros decay relative to b^l, the quantity
-that quantifies a weak diophantine property of the location ratios.  The
-module also hosts continued fractions, a rationality test for location
-ratios, and the closed-form linear-forms-in-logarithms constants used by
-the integer-digit applications.
+here brackets the least gap in each dyadic block of b, to show how fast the
+near-zeros decay relative to b^l: a weak diophantine property of the
+location ratios.  The module also hosts continued fractions, a rationality
+test for location ratios, and the closed-form linear-forms-in-logarithms
+constants used by the integer-digit applications.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ HUGE_QUOTIENT = 10 ** 8
 
 # Atom locations closer than this are merged.
 ATOM_MERGE_TOL = 1e-12
+
+# The resonance scan splits an interval while its lower bound on the squared
+# gap is below (1 - SCAN_TOL)^2 times its block's least value, and evaluates
+# at most SCAN_CHUNK centres in one array.
+SCAN_TOL = 0.02
+SCAN_CHUNK = 65536
+_U = 2.0 ** -53  # unit roundoff of float64
 
 @dataclass(frozen=True)
 class AuxiliaryMeasure:
@@ -95,18 +102,20 @@ def laplace_transform(lam: AuxiliaryMeasure, z: complex | np.ndarray) -> complex
     return complex(values) if np.ndim(z) == 0 else values
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DiophantineReport:
-    """Scan of the resonance gap b -> |1 - L(i*b)| against the power b^l.
+    """Certified minimum of the resonance gap b -> |1 - L(i*b)| per dyadic block.
 
-    ``rows`` is a read-only (n, 3) float array with columns b, gap and
-    scaled = b^l * gap, b ascending.  ``classification`` is the
-    classify_lattice verdict on the atom locations.
+    ``rows`` holds one tuple (b, gap, scaled_gap, gap_lower, block_lo,
+    block_hi) per block, blocks ascending, as weakly_diophantine_scan
+    describes them; ``evaluations`` counts the points where the gap was
+    evaluated, and ``classification`` is classify_lattice's verdict.
     """
 
     degree_l: float
-    rows: np.ndarray
+    rows: tuple[tuple[float, float, float, float, float, float], ...]
     classification: str
+    evaluations: int
 
     @property
     def lattice(self) -> bool:
@@ -115,82 +124,158 @@ class DiophantineReport:
 
     @property
     def scan_min(self) -> float:
-        return float(self.rows[:, 1].min())
+        return min(row[1] for row in self.rows)
 
     @property
     def scan_argmin(self) -> float:
-        return float(self.rows[np.argmin(self.rows[:, 1]), 0])
+        return min(self.rows, key=lambda row: row[1])[0]  # the first least gap's b
+
+    @property
+    def scan_min_lower(self) -> float:
+        """A lower bound on the gap over all of [1, b_max]."""
+        return min(row[3] for row in self.rows)
 
 
-def _scaled_column(bs: np.ndarray, gaps: np.ndarray, l: float) -> np.ndarray:
-    """b^l * gap of every (b, gap) pair, as a float array.
+def _scaled_gap(b: float, gap: float, l: float) -> float:
+    """b^l * gap, as exp(l*log(b) + log(gap)).
 
     b^l overflows floats long before the product does not matter, so the
-    product is exp(l*log(b) + log(gap)), with numpy's float64 log and exp
-    over the whole column: inf from an exponent of 709 up, and 0 for a zero
-    gap, whatever l*log(b) is (it may overflow to inf, and inf + log(0) is
-    nan).  Elementwise, so a row has the same bits alone as in a batch.
+    product is taken in log space, with libm's log and exp: inf from an
+    exponent of 709 up, and 0 for a zero gap before any log is taken.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = l * np.log(bs) + np.log(gaps)
-        scaled = np.exp(e)
-    scaled[e >= 709.0] = math.inf
-    scaled[gaps == 0.0] = 0.0
-    return scaled
+    if gap == 0.0:
+        return 0.0
+    e = l * math.log(b) + math.log(gap)
+    return math.inf if e >= 709.0 else math.exp(e)
+
+
+def _gap_bounds(lam: AuxiliaryMeasure, b: np.ndarray, r: float,
+                curvature: float) -> tuple[np.ndarray, np.ndarray]:
+    """f = |1 - L(i*b)|^2 at the centres b, and a lower bound on f over b +- r.
+
+    With g = 1 - L(i*b) = re + i*im and u = 2^-53, f = re^2 + im^2 and
+    f' = 2*(re*re' + im*im').  On [c - r, c + r], f'' >= -M gives
+    f >= f(c) - |f'(c)|*r - M*r^2/2 in exact arithmetic.  The computed
+    values are corrected by an allowance:
+
+    - Each phase c*l_j is one correctly rounded product, off by at most
+      u*c*l_j; numpy's float64 cos and sin are taken to be within 4 ulp,
+      8u.  With n atoms and the sums' rounding, re and im are each within
+      e = u*(c*sigma + 2n + 10), and re' and im' within
+      e' = u*(c*sum p*l^2 + (2n + 10)*sigma), where sum p*l^2 <= M/4.
+    - So |f - f~| <= 2e*(|re| + |im| + e) and
+      |f' - f~'| <= 2*(e'*(|re| + |im|) + e*(|re'| + |im'|) + 2e*e'),
+      the latter times r.
+    - 16u*(f + |f'|*r + M*r^2/2) covers the rounding of the squares, of
+      the products and of the subtractions that form the bound.
+    """
+    re, im = np.ones_like(b), np.zeros_like(b)
+    d_re, d_im = np.zeros_like(b), np.zeros_like(b)
+    for loc, mass in lam.atoms:
+        phase = b * loc
+        cos, sin = np.cos(phase), np.sin(phase)
+        re -= mass * cos
+        im += mass * sin
+        d_re += (mass * loc) * sin
+        d_im += (mass * loc) * cos
+    f = re * re + im * im
+    drop = 2.0 * np.abs(re * d_re + im * d_im) * r + 0.5 * curvature * r * r
+    terms = 2 * len(lam.atoms) + 10
+    e = _U * (b * lam.sigma + terms)
+    e_d = _U * (b * (curvature / 4.0) + terms * lam.sigma)
+    size, d_size = np.abs(re) + np.abs(im), np.abs(d_re) + np.abs(d_im)
+    allowance = (2.0 * e * (size + e) + 2.0 * r * (e_d * size + e * d_size + 2.0 * e * e_d)
+                 + 16.0 * _U * (f + drop))
+    return f, f - drop - allowance
+
+
+def _block_minimum(lam: AuxiliaryMeasure, lo: float, hi: float, count: int,
+                   curvature: float, spent: int, cap: int) -> tuple[float, float, int]:
+    """(least-f centre, lower bound on f, evaluations) over the block [lo, hi].
+
+    The block is cut into ``count`` equal intervals, each evaluated at its
+    centre by _gap_bounds.  One whose lower bound is below (1 - SCAN_TOL)^2
+    times the least f seen in the block is split in two; the least bound
+    of the others bounds f over the block.  As centres are rounded, a
+    radius is the half-width plus a slack: 4u*hi for the first centres
+    (the rounding of the width, its multiple and the sum), u*hi more per
+    split.  Splitting stops at float resolution, once the half-width is
+    no more than the slack.  Intervals are evaluated SCAN_CHUNK at a time,
+    newest first, so the least f falls early and few are alive at once.
+    Evaluations are counted on from ``spent``, against ``cap``.
+    """
+    width = (hi - lo) / count
+    threshold = (1.0 - SCAN_TOL) ** 2
+    best, argmin, lower = math.inf, lo, math.inf
+    for start in range(0, count, SCAN_CHUNK):
+        index = np.arange(start, min(start + SCAN_CHUNK, count), dtype=float)
+        pending = [(lo + (index + 0.5) * width, width / 2.0, 4.0 * _U * hi)]
+        while pending:
+            b, half, slack = pending.pop()
+            if len(b) > SCAN_CHUNK:
+                pending.append((b[SCAN_CHUNK:], half, slack))
+                b = b[:SCAN_CHUNK]
+            if spent + len(b) > cap:
+                raise ResourceCapError(
+                    f"resonance scan needs more than {cap} evaluations, cap={cap}")
+            spent += len(b)
+            f, bound = _gap_bounds(lam, b, half + slack, curvature)
+            i = int(np.argmin(f))
+            if f[i] < best:
+                best, argmin = float(f[i]), float(b[i])
+            split = (bound < threshold * best) & (half > slack)
+            lower = min(lower, float(bound[~split].min(initial=math.inf)))
+            if split.any():
+                b = b[split]
+                pending.append((np.concatenate((b - half / 2.0, b + half / 2.0)),
+                                half / 2.0, slack + _U * hi))
+    return argmin, lower, spent
 
 
 def weakly_diophantine_scan(
     lam: AuxiliaryMeasure,
     l: float,
     b_max: float,
-    grid: int,
     cap: int = DEFAULT_WORD_CAP,
 ) -> DiophantineReport:
-    """Tabulate the resonance gap and b^l times it over [1, b_max].
+    """Certified minimum of the resonance gap in each dyadic block of [1, b_max].
 
-    A uniform grid is augmented near every candidate resonance
-    b = 2*pi*k / location, the only frequencies where a single atom's
-    phase returns to 1.  The gap can only vanish on the scan when the
-    atom locations share a common multiple of 2*pi/b, the lattice case;
-    classify_lattice's verdict is reported with the rows.  The candidate
-    count, grid plus five per resonance, is checked against ``cap``
-    before any array is built.
+    The blocks are [2^k, min(2^(k+1), b_max)] for 2^k < b_max, each
+    searched by Shubert's branch and bound on f(b) = |1 - L(i*b)|^2 from
+    intervals of width at most 1/sqrt(M) (_block_minimum).  A row holds
+    the least-f point b, gap = |1 - laplace_transform(i*b)|, b^l * gap
+    (_scaled_gap), gap_lower = sqrt of the bound on f, rounded down, and
+    the block's ends.  The gap can only vanish in the lattice case, and
+    classify_lattice's verdict comes with the rows.  The bound widens
+    with b, as the phases b*l_j are rounded, and says little past 1e6.
 
-    The rows come back as one read-only (n, 3) float array [b, gap,
-    scaled], b ascending.  The gaps are |1 - laplace_transform| at i*b and
-    the scaled column is _scaled_column's b^l * gap, both elementwise in
-    numpy, so a row has the same bits computed alone as in the batch.
+    Every evaluation counts against ``cap``: the ceil((hi - lo)*sqrt(M))
+    initial ones of all blocks are checked before any is made.
     """
     if not (l > 0.0 and math.isfinite(l)):
         raise InputError(f"power must be positive and finite, got {l!r}")
     if not (b_max > 1.0 and math.isfinite(b_max)):
         raise InputError(f"frequency ceiling must be finite and exceed 1, got {b_max!r}")
-    if grid < 2:
-        raise InputError(f"grid must have at least 2 points, got {grid!r}")
-    # k_hi is clamped below 2^62 (far past any cap) so that it stays finite.
-    resonances = [(loc, max(1, math.ceil(loc / (2.0 * math.pi))),
-                   math.floor(min(b_max * loc / (2.0 * math.pi), 2.0 ** 62)))
-                  for loc in lam.locations]
-    count = grid + 5 * sum(max(0, k_hi - k_lo + 1) for _, k_lo, k_hi in resonances)
-    if count > cap:
-        raise ResourceCapError(f"resonance scan needs {count} candidate rows, cap={cap}")
-    spacing = (b_max - 1.0) / (grid - 1)
-    candidates = [np.linspace(1.0, b_max, grid)]
-    offsets = np.array([-1.0, -0.25, 0.0, 0.25, 1.0]) * spacing
-    for loc, k_lo, k_hi in resonances:
-        ks = np.arange(k_lo, k_hi + 1, dtype=float)
-        centers = 2.0 * math.pi * ks / loc
-        refined = (centers[:, None] + offsets[None, :]).ravel()
-        candidates.append(refined[(refined >= 1.0) & (refined <= b_max)])
-    # Sorted and deduplicated as np.unique would, which loads numpy.ma.
-    bs = np.concatenate(candidates)
-    bs.sort()
-    bs = bs[np.concatenate(([True], bs[1:] != bs[:-1]))]
-    gaps = np.abs(1.0 - laplace_transform(lam, 1j * bs))
-    rows = np.column_stack((bs, gaps, _scaled_column(bs, gaps, l)))
-    rows.flags.writeable = False
-    return DiophantineReport(degree_l=float(l), rows=rows,
-                             classification=classify_lattice(lam))
+    # M >= |f''|, as f'' = 2|g'|^2 + 2 Re(conj(g) g'') for g = 1 - L(i*b), |g| <= 2,
+    # |g'| <= sigma and |g''| <= sum p*l^2; the factor covers the sums' rounding.
+    second = math.fsum(m * loc * loc for loc, m in lam.atoms)
+    curvature = (2.0 * lam.sigma ** 2 + 4.0 * second) * (1.0 + 1e-12)
+    blocks, lo = [], 1.0
+    while lo < b_max:
+        hi = min(2.0 * lo, b_max)
+        # Clamped below 2^62 (far past any cap) so that the count stays finite.
+        blocks.append((lo, hi, math.ceil(min((hi - lo) * math.sqrt(curvature), 2.0 ** 62))))
+        lo *= 2.0
+    initial = sum(count for _, _, count in blocks)
+    if initial > cap:
+        raise ResourceCapError(f"resonance scan needs at least {initial} evaluations, cap={cap}")
+    rows, spent = [], 0
+    for lo, hi, count in blocks:
+        b, lower, spent = _block_minimum(lam, lo, hi, count, curvature, spent, cap)
+        gap = abs(1.0 - laplace_transform(lam, 1j * b))
+        gap_lower = math.nextafter(math.sqrt(lower), 0.0) if lower > 0.0 else 0.0
+        rows.append((b, gap, _scaled_gap(b, gap, l), gap_lower, lo, hi))
+    return DiophantineReport(float(l), tuple(rows), classify_lattice(lam), spent)
 
 
 @dataclass(frozen=True)

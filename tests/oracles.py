@@ -408,16 +408,15 @@ def scaled_gap(b: float, gap: float, l: float) -> float:
 
     b^l overflows floats long before the product does not matter, so the
     product is assembled in log space, exp(l*log(b) + log(gap)), with
-    numpy's float64 log and exp on one float64 scalar each: inf from an
-    exponent of 709 up, and 0 for a zero gap before any log is taken.
+    libm's log and exp: inf from an exponent of 709 up, and 0 for a zero
+    gap before any log is taken.
     """
     if gap == 0.0:
         return 0.0
-    with np.errstate(over="ignore"):
-        e = l * np.log(np.float64(b)) + np.log(np.float64(gap))
+    e = l * math.log(b) + math.log(gap)
     if e >= 709.0:
         return math.inf
-    return float(np.exp(e))
+    return math.exp(e)
 
 
 def integer_root(m: int, k: int) -> int:

@@ -272,7 +272,7 @@ def test_criterion_09_diophantine_scan():
     lattice_ifs = WeightedIFS(
         (0, 1), (Similitude(0.5, 0.0), Similitude(0.25, 0.75)), (0.7, 0.3))
     lat = weakly_diophantine_scan(auxiliary_measure(lattice_ifs),
-                                  l=2.0, b_max=1e4, grid=4096)
+                                  l=2.0, b_max=1e4)
     k = round(lat.scan_argmin * math.log(2) / (2.0 * math.pi))
     predicted = 2.0 * math.pi * k / math.log(2)
     at_predicted = abs(lat.scan_argmin - predicted) <= 1e-6
@@ -280,7 +280,7 @@ def test_criterion_09_diophantine_scan():
 
     ifs, _ = luroth_natural_ifs((2, 3))
     rep = weakly_diophantine_scan(auxiliary_measure(ifs),
-                                  l=2.0, b_max=1e4, grid=4096)
+                                  l=2.0, b_max=1e4)
     ok_nonlattice = rep.scan_min > 0.0 and not rep.lattice
     ok = ok_lattice and ok_nonlattice
     _report(9, ok,

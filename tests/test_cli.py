@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfsim.cli
+import selfsim.diophantine
 from oracles import csv_bytes, luroth_cylinders
 from selfsim import InputError, InternalInvariantError, auxiliary_measure, matveev_degree, weakly_diophantine_scan
 from selfsim.cli import COMMANDS, build_parser, main, parse_spec
@@ -163,10 +164,22 @@ def test_single_map_walk_stops_at_cap(capsys):
 
 
 def test_dioph_scan_stops_at_cap(capsys):
-    # The candidate rows are counted against --cap before any is built.
+    # The initial evaluations of every block are counted against --cap
+    # before any is made.
     code, _, err = run(["dioph-scan", "--spec", LUROTH_SPEC, "--b-max", "1e5",
                         "--cap", "1000"], capsys)
-    assert code == 3 and "199783 candidate rows, cap=1000" in err
+    assert code == 3 and "needs at least 281446 evaluations, cap=1000" in err
+
+
+def test_dioph_scan_refuses_a_b_max_past_the_cap_before_any_evaluation(monkeypatch, capsys):
+    def evaluated(*args):
+        raise AssertionError("an evaluation was made")
+
+    monkeypatch.setattr(selfsim.diophantine, "_gap_bounds", evaluated)
+    started = time.monotonic()
+    code, _, err = run(["dioph-scan", "--spec", LUROTH_SPEC, "--b-max", "1e300"], capsys)
+    assert code == 3 and "evaluations, cap=50000000" in err
+    assert time.monotonic() - started < 0.5
 
 
 def test_fourier_scan_stops_at_cap(tmp_path, capsys):
@@ -480,18 +493,15 @@ def test_renewal_command_reproducible(tmp_path, capsys):
 
 
 def test_dioph_scan_command(capsys):
-    code, stdout, _ = run(["dioph-scan", "--spec", LUROTH_SPEC,
-                           "--b-max", "200", "--grid", "256"], capsys)
+    code, stdout, _ = run(["dioph-scan", "--spec", LUROTH_SPEC, "--b-max", "200"], capsys)
     assert code == 0
     assert "lattice=false" in stdout
     summary = dict(part.split("=", 1) for part in stdout.split()[1:])
     assert float(summary["scan_min"]) > 0.0
     # Without --l a plain maps spec cannot infer the power.
-    code, _, err = run(["dioph-scan", "--spec", CANTOR_SPEC,
-                        "--b-max", "50", "--grid", "64"], capsys)
+    code, _, err = run(["dioph-scan", "--spec", CANTOR_SPEC, "--b-max", "50"], capsys)
     assert code == 2 and "--l" in err
-    code, _, _ = run(["dioph-scan", "--spec", CANTOR_SPEC, "--l", "2",
-                      "--b-max", "50", "--grid", "64"], capsys)
+    code, _, _ = run(["dioph-scan", "--spec", CANTOR_SPEC, "--l", "2", "--b-max", "50"], capsys)
     assert code == 0
 
 
@@ -522,8 +532,9 @@ def test_csv_blocks_render_like_the_row_writer():
     edges = _edge_floats()
     edges += [0.0] * (-len(edges) % 3)
     values += np.array(edges).reshape(-1, 3).tolist()
-    data = b"".join(selfsim.cli._float_blocks(np.array(values)))
-    assert data == rows_bytes(header, values)
+    _, count, blocks = selfsim.cli._table(header, values)
+    assert count == len(values)
+    assert b"".join(blocks) == rows_bytes(header, values)
     mixed = [(True, Fraction(2, 3), 7, "cylinder", 0.5, np.float64(0.1), np.int64(-3),
               np.bool_(True), -0.0, math.inf),
              (False, Fraction(-1, 4), 0, "x", math.nan, np.float64(-math.inf), np.int64(2 ** 40),
@@ -550,7 +561,7 @@ def test_float_csv_bytes_match_the_row_writer_on_raw_bit_patterns(patterns, seed
     bits[middle:middle + len(drawn)] = drawn
     table = bits.view(np.float64).reshape(rows, 3)
     header = ["x", "y", "z"]
-    data = b"".join(selfsim.cli._float_blocks(table))
+    data = b"".join(selfsim.cli._table(header, table.tolist())[2])
     assert data == rows_bytes(header, table.tolist())
 
 
@@ -582,7 +593,7 @@ def test_command_parser_help_matches_the_full_tree(capsys):
     ["decay-fit", "--spec", LUROTH_SPEC, "--points-per-octave", "4", "--cap", "1000"],
     ["regularity", "--spec", LUROTH_SPEC, "--depth", "5"],
     ["diagonal", "--spec", CANTOR_SPEC, "--delta", "0.1"],
-    ["dioph-scan", "--spec", CANTOR_SPEC, "--l", "2", "--b-max", "50", "--grid", "64"],
+    ["dioph-scan", "--spec", CANTOR_SPEC, "--l", "2", "--b-max", "50"],
     ["matveev", "--a1", "2", "--a2", "3"],
     ["luroth-encode", "--x", "2/3"],
     ["luroth-decode", "--digits", "2,3,2"],
@@ -621,7 +632,8 @@ def test_threads_belongs_to_renewal_and_the_fourier_commands():
     ["dim", "--spec", LUROTH_SPEC, "--seed", "1"],
     ["matveev", "--a1", "2", "--a2", "3", "--cap", "5"],
     ["dim", "--spec", LUROTH_SPEC, "--threads", "2"],
-], ids=["dim-seed", "matveev-cap", "dim-threads"])
+    ["dioph-scan", "--spec", LUROTH_SPEC, "--grid", "64"],
+], ids=["dim-seed", "matveev-cap", "dim-threads", "dioph-scan-grid"])
 def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -674,11 +686,10 @@ def test_dioph_scan_csv_bytes_match_the_row_writer(spec, power, b_max, tmp_path,
         power = 2.0 * matveev_degree(2, 3) - 2.0
     assert run(argv, capsys)[0] == 0
     report = weakly_diophantine_scan(
-        auxiliary_measure(parse_spec(spec).ifs), power, float(b_max), 2048)
-    # The table spans more than one write block.
-    assert len(report.rows) > selfsim.cli._BLOCK_ROWS
+        auxiliary_measure(parse_spec(spec).ifs), power, float(b_max))
     data = (tmp_path / "d.csv").read_bytes()
-    assert data == csv_bytes(["b", "gap", "scaled_gap"], report.rows.tolist())
+    assert data == csv_bytes(["b", "gap", "scaled_gap", "gap_lower", "block_lo", "block_hi"],
+                             report.rows)
     table = json.loads((tmp_path / "d.json").read_text())["tables"]["main"]
     assert table["sha256"] == hashlib.sha256(data).hexdigest()
     assert table["rows"] == len(report.rows)

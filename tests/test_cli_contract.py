@@ -3,10 +3,10 @@
 Each of the 13 subcommands runs once at a small size, and dioph-scan
 once more at a power that keeps its scaled column finite.  Expected values
 were recorded before the command table replaced the per-command
-functions, the second dioph-scan's once its scaled column was taken in
-numpy; any change to a summary line or a CSV byte fails here.  The
-renewal job uses a fixed seed, and ``diagonal`` stays at depth 4 so that
-no BLAS reduction is large enough to split across threads.
+functions, dioph-scan's once it reported one row per dyadic block; any
+change to a summary line or a CSV byte fails here.  The renewal job uses
+a fixed seed, and ``diagonal`` stays at depth 4 so that no BLAS
+reduction is large enough to split across threads.
 """
 
 import hashlib
@@ -33,11 +33,10 @@ ARGV = {
                   "--points-per-octave", "4"],
     "regularity": ["regularity", "--spec", LUROTH, "--depth", "5"],
     "diagonal": ["diagonal", "--spec", CANTOR, "--delta", "0.1", "--depth", "4"],
-    "dioph-scan": ["dioph-scan", "--spec", LUROTH, "--b-max", "200", "--grid", "256"],
-    # At Luroth's own power every scaled gap but b = 1's is inf; at l = 2
-    # the scaled column is finite.
-    "dioph-scan-l2": ["dioph-scan", "--spec", NINETY, "--l", "2", "--b-max", "200",
-                      "--grid", "256"],
+    "dioph-scan": ["dioph-scan", "--spec", LUROTH, "--b-max", "200"],
+    # At Luroth's own power every scaled gap is inf; at l = 2 the scaled
+    # column is finite.
+    "dioph-scan-l2": ["dioph-scan", "--spec", NINETY, "--l", "2", "--b-max", "200"],
     "matveev": ["matveev", "--a1", "2", "--a2", "3"],
     "luroth-encode": ["luroth-encode", "--x", "2/3", "--n", "6"],
     "luroth-decode": ["luroth-decode", "--digits", "2,3,2"],
@@ -76,20 +75,22 @@ EXPECTED = {
                 'ddea74858533e3f92ccdf16aa4be2e82a9e39d7be81d0049aa79ee1b42665d5f',
         }),
     'dioph-scan': (
-        'dioph-scan degree_l=378738195.17448759 scan_min=0.013272410295187151'
-        ' scan_argmin=45.482352941176472 lattice=false'
-        ' classification=indeterminate log_c=-86305744.498959586 points=648',
+        'dioph-scan degree_l=378738195.17448759 scan_min=0.00071448466520227145'
+        ' scan_min_lower=0.00070281998793061463 scan_argmin=108.7374395718232'
+        ' lattice=false classification=indeterminate log_c=-86305744.498959586'
+        ' points=8 evaluations=1033',
         {
             'job.csv':
-                'bdc5f3a5d61f4c712f8b53d2d4c6e1ba8a6ad44c9feb232ad9f79459fd4d9c2a',
+                '55e749291e22a34c2da8afc1f2b5fd53efb5d7747087d4172cee20446be895d9',
         }),
     'dioph-scan-l2': (
-        'dioph-scan degree_l=2 scan_min=0.0036992050076877958'
-        ' scan_argmin=119.46530600944148 lattice=false'
-        ' classification=indeterminate log_c=nan points=745',
+        'dioph-scan degree_l=2 scan_min=0.0024775284312717281'
+        ' scan_min_lower=0.0024518929769707879 scan_argmin=119.4733297413793'
+        ' lattice=false classification=indeterminate log_c=nan points=8'
+        ' evaluations=795',
         {
             'job.csv':
-                '79521df2e2060f1a27fe58134020d33f81ac93ec79f4a1d530489c51201470e7',
+                '55aa49beb7bf6f2833dc1a93f52d144c4cfa358e227f342ed78c91c1ed19ef00',
         }),
     'fourier-scan': (
         'fourier-scan t=8 xi_max=64 samples=12 blocks=6'
@@ -247,6 +248,7 @@ BAD_INPUT = [
     ["fourier-scan", "--spec", LUROTH, "--t", "6", "--xi-max", "8", "--points-per-octave", "0"],
     ["regularity", "--spec", LUROTH, "--depth", "0"],
     ["diagonal", "--spec", LUROTH, "--delta", "0.1", "--depth", "0"],
+    ["dioph-scan", "--spec", LUROTH, "--b-max", "1"],
 ]
 
 

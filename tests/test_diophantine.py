@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+import selfsim.diophantine
 from oracles import is_perfect_power, scaled_gap
 from selfsim import (
     DiophantineReport,
@@ -24,7 +26,7 @@ from selfsim import (
     weakly_diophantine_scan,
 )
 from selfsim.cli import parse_spec
-from selfsim.diophantine import _scaled_column
+from selfsim.diophantine import _gap_bounds, _scaled_gap
 from selfsim.luroth import luroth_ifs, luroth_natural_ifs
 
 
@@ -89,10 +91,10 @@ def test_laplace_transform_off_the_axis(digits):
     points = np.array([laplace_transform(lam, p) for p in z.tolist()])
     assert np.all(np.abs(values - points) <= scale)
     # The scan's gaps are this evaluator's on the imaginary axis, bit for bit.
-    report = weakly_diophantine_scan(lam, 2.0, 500.0, 256)
-    bs = report.rows[:, 0]
-    gaps = np.abs(1.0 - laplace_transform(lam, 1j * bs))
-    assert np.array_equal(report.rows[:, 1].view(np.uint64), gaps.view(np.uint64))
+    report = weakly_diophantine_scan(lam, 2.0, 500.0)
+    bs = [row[0] for row in report.rows]
+    assert np.array_equal(np.array([row[1] for row in report.rows]).view(np.uint64),
+                          gap_bits(lam, bs))
 
 
 @pytest.mark.parametrize("digits", [(2, 3), (2, 3, 5, 7), (2, 3, 5, 7, 11)])
@@ -110,7 +112,7 @@ def test_laplace_transform_at_a_point_is_its_batch_entry(digits):
 
 
 def test_scan_flags_lattice_resonance(lattice_lambda):
-    report = weakly_diophantine_scan(lattice_lambda, 2.0, 200.0, 512)
+    report = weakly_diophantine_scan(lattice_lambda, 2.0, 200.0)
     assert report.lattice is True
     assert report.scan_min < 1e-9
     # The minimizer sits at a predicted frequency 2*pi*k / log 2.
@@ -121,36 +123,41 @@ def test_scan_flags_lattice_resonance(lattice_lambda):
 
 
 def test_scan_stays_positive_off_lattice(luroth_lambda):
-    report = weakly_diophantine_scan(luroth_lambda, 2.0, 2000.0, 1024)
+    report = weakly_diophantine_scan(luroth_lambda, 2.0, 2000.0)
     assert report.lattice is False
-    assert report.scan_min > 0.0
+    assert report.scan_min > 0.0 and report.scan_min_lower > 0.0
     bs = [r[0] for r in report.rows]
     assert bs == sorted(bs)
     assert all(1.0 <= b <= 2000.0 for b in bs)
     # Scaled column is b^l * gap, assembled in log space.
-    b, gap, scaled = report.rows[len(report.rows) // 2]
+    b, gap, scaled, *_ = report.rows[len(report.rows) // 2]
     if gap > 0.0:
         assert scaled == pytest.approx(b ** 2.0 * gap, rel=1e-12)
 
 
-def test_scan_cap_counts_candidate_rows(luroth_lambda):
-    # The grid plus five candidates around each resonance 2*pi*k / location
-    # in [1, b_max] are counted before any array is built.
-    resonances = sum(1 for loc in luroth_lambda.locations for k in range(1, 1000)
-                     if 1.0 <= 2.0 * math.pi * k / loc <= 200.0)
-    count = 256 + 5 * resonances
-    report = weakly_diophantine_scan(luroth_lambda, 2.0, 200.0, 256, cap=count)
-    assert 256 < len(report.rows) <= count
-    with pytest.raises(ResourceCapError, match=f"needs {count} candidate rows, cap={count - 1}"):
-        weakly_diophantine_scan(luroth_lambda, 2.0, 200.0, 256, cap=count - 1)
-    # A ratio of 99/100 puts its first resonance 2*pi / log(100/99) past
-    # b_max, so the scan is its grid alone.
-    slow = auxiliary_measure(WeightedIFS((0,), (Similitude(0.99, 0.0),), (1.0,)))
-    report = weakly_diophantine_scan(slow, 2.0, 200.0, 64, cap=64)
-    assert np.array_equal(report.rows[:, 0], np.linspace(1.0, 200.0, 64))
-    # b_max * log 6 overflows to inf; the count still stops at the cap.
+def test_scan_cap_counts_evaluations(luroth_lambda, monkeypatch):
+    # ceil(width * sqrt(M)) initial evaluations per block are counted
+    # before any is made, then every split's as it comes.
+    root = math.sqrt(2.0 * luroth_lambda.sigma ** 2 + 4.0 * math.fsum(
+        m * loc * loc for loc, m in luroth_lambda.atoms))
+    edges = [1, 2, 4, 8, 16, 32, 64, 128, 200]
+    initial = sum(math.ceil((hi - lo) * root) for lo, hi in zip(edges, edges[1:]))
+    report = weakly_diophantine_scan(luroth_lambda, 2.0, 200.0)
+    assert initial < report.evaluations
+    assert weakly_diophantine_scan(luroth_lambda, 2.0, 200.0, cap=report.evaluations) == report
+    with pytest.raises(ResourceCapError, match=f"more than {report.evaluations - 1} evaluations"):
+        weakly_diophantine_scan(luroth_lambda, 2.0, 200.0, cap=report.evaluations - 1)
+
+    def evaluated(*args):
+        raise AssertionError("an evaluation was made")
+
+    monkeypatch.setattr(selfsim.diophantine, "_gap_bounds", evaluated)
+    with pytest.raises(ResourceCapError, match=f"needs at least {initial} evaluations, "
+                                               f"cap={initial - 1}"):
+        weakly_diophantine_scan(luroth_lambda, 2.0, 200.0, cap=initial - 1)
+    # b_max * sqrt(M) overflows to inf; the count still stops at the cap.
     with pytest.raises(ResourceCapError):
-        weakly_diophantine_scan(luroth_lambda, 2.0, 1.7e308, 256)
+        weakly_diophantine_scan(luroth_lambda, 2.0, 1.7e308)
 
 
 def scaled_bits(bs, gaps, l):
@@ -158,25 +165,35 @@ def scaled_bits(bs, gaps, l):
     return np.array([scaled_gap(b, g, l) for b, g in zip(bs, gaps)]).view(np.uint64)
 
 
+def gap_bits(lam, bs):
+    """|1 - L(i*b)| of each b alone, as raw float bits."""
+    return np.array([abs(1.0 - laplace_transform(lam, 1j * b)) for b in bs]).view(np.uint64)
+
+
 @pytest.mark.parametrize("l,b_max", [(2.0 * matveev_degree(2, 3) - 2.0, 2e4), (2.0, 2e4)],
                          ids=["luroth-degree", "square"])
-def test_scan_rows_are_one_array(luroth_lambda, l, b_max):
-    report = weakly_diophantine_scan(luroth_lambda, l, b_max, 2048)
+def test_scan_rows_are_one_per_block(luroth_lambda, l, b_max):
+    report = weakly_diophantine_scan(luroth_lambda, l, b_max)
     rows = report.rows
-    assert isinstance(rows, np.ndarray) and rows.shape == (len(rows), 3)
-    assert rows.dtype == np.float64 and not rows.flags.writeable
-    bs, gaps = rows[:, 0].tolist(), rows[:, 1].tolist()
-    assert np.array_equal(rows[:, 2].view(np.uint64), scaled_bits(bs, gaps, l))
-    assert report.scan_min == min(gaps)
+    assert isinstance(rows, tuple) and all(len(row) == 6 for row in rows)
+    bs, gaps, scaled, lower, block_lo, block_hi = map(list, zip(*rows))
+    # The blocks [2^k, 2^(k+1)] tile [1, b_max], the last one cut at b_max.
+    assert block_lo == [2.0 ** k for k in range(15)]
+    assert block_hi == [2.0 ** k for k in range(1, 15)] + [b_max]
+    assert all(lo < b < hi for b, lo, hi in zip(bs, block_lo, block_hi))
+    assert np.array_equal(np.array(gaps).view(np.uint64), gap_bits(luroth_lambda, bs))
+    assert np.array_equal(np.array(scaled).view(np.uint64), scaled_bits(bs, gaps, l))
+    assert all(0.0 < lo <= gap for lo, gap in zip(lower, gaps))
+    assert report.scan_min == min(gaps) and report.scan_min_lower == min(lower)
     assert report.scan_argmin == bs[gaps.index(min(gaps))]
-    b, gap, scaled = rows[len(rows) // 2]
-    assert (b, gap) == (bs[len(rows) // 2], gaps[len(rows) // 2])
 
 
 def test_scan_argmin_takes_the_first_minimum():
-    rows = np.array([[1.0, 0.5, 0.0], [2.0, 0.25, 0.0], [3.0, 0.25, 0.0]])
-    report = DiophantineReport(2.0, rows, "non-lattice")
+    rows = ((1.0, 0.5, 0.0, 0.4, 1.0, 2.0), (2.0, 0.25, 0.0, 0.2, 2.0, 4.0),
+            (4.0, 0.25, 0.0, 0.1, 4.0, 8.0))
+    report = DiophantineReport(2.0, rows, "non-lattice", 10)
     assert report.scan_min == 0.25 and report.scan_argmin == 2.0
+    assert report.scan_min_lower == 0.1
 
 
 def test_scaled_column_is_scaled_gap_bit_for_bit():
@@ -195,23 +212,19 @@ def test_scaled_column_is_scaled_gap_bit_for_bit():
             b = math.nextafter(b, math.inf)
     bs += [2.0, 2.0, 1.0, 1e300, 1e300, 3.0]
     gaps += [0.0, 5e-324, 1.0, 0.0, 1e-300, 1e-200]
-    scaled = _scaled_column(np.array(bs), np.array(gaps), l)
+    scaled = np.array([_scaled_gap(b, gap, l) for b, gap in zip(bs, gaps)])
     assert np.array_equal(scaled.view(np.uint64), scaled_bits(bs, gaps, l))
     assert 0.0 in scaled and math.inf in scaled
     finite = scaled[np.isfinite(scaled)]
     assert finite.max() > math.exp(708.9999)
-    # np.log and math.log of this b differ in the last bit on some builds,
-    # and this l puts the exponent at 709.0 by one and just below by the
-    # other: the column and its oracle take the same log, so they agree.
+    # This l puts the exponent at 709.0 by one rounding of log(b) and just
+    # below by the other; the cut is taken on libm's log.
     b, l = 64818.84011583974, 63.992914631642435
-    scaled = _scaled_column(np.array([b]), np.array([1.0]), l)
-    assert np.array_equal(scaled.view(np.uint64), scaled_bits([b], [1.0], l))
+    assert _scaled_gap(b, 1.0, l) == scaled_gap(b, 1.0, l)
     # l * log(b) overflows to inf, and inf + log(0) is nan: a zero gap
     # still scales to 0, and a positive one to inf.
     bs, gaps, l = [1e300, 1e300, 2.0], [0.0, 1e-300, 0.0], 1e306
-    scaled = _scaled_column(np.array(bs), np.array(gaps), l)
-    assert np.array_equal(scaled.view(np.uint64), scaled_bits(bs, gaps, l))
-    assert scaled.tolist() == [0.0, math.inf, 0.0]
+    assert [_scaled_gap(b, gap, l) for b, gap in zip(bs, gaps)] == [0.0, math.inf, 0.0]
 
 
 # Steps and powers whose scaled columns are finite: the 9/10 walk and
@@ -224,22 +237,19 @@ FINITE_SCANS = pytest.mark.parametrize(
 
 @FINITE_SCANS
 def test_scaled_column_rows_alone_equal_their_batch_entries(spec, l):
-    rows = weakly_diophantine_scan(auxiliary_measure(parse_spec(spec).ifs), l, 2e3, 256).rows
-    bs, gaps, scaled = rows[:, 0], rows[:, 1], rows[:, 2].view(np.uint64)
-    rng = np.random.default_rng(5)
-    for i in rng.choice(len(rows), size=200, replace=False):
-        alone = _scaled_column(bs[i:i + 1], gaps[i:i + 1], l)
-        assert alone.view(np.uint64)[0] == scaled[i]
-    # Every length up to 39 starting at one offset, so that a vector kernel's
-    # main loop and its tail both see each row.
-    for n in range(1, 40):
-        part = _scaled_column(bs[17:17 + n], gaps[17:17 + n], l)
-        assert np.array_equal(part.view(np.uint64), scaled[17:17 + n])
+    # A row's gap and scaled gap are those of its b taken alone, and a
+    # block's row does not depend on the blocks after it.
+    lam = auxiliary_measure(parse_spec(spec).ifs)
+    rows = weakly_diophantine_scan(lam, l, 2e3).rows
+    for b, gap, scaled, *_ in rows:
+        assert gap == abs(1.0 - laplace_transform(lam, 1j * b))
+        assert scaled == _scaled_gap(b, gap, l)
+    assert weakly_diophantine_scan(lam, l, 256.0).rows == rows[:8]
 
 
 @FINITE_SCANS
 def test_scaled_column_is_accurate(spec, l):
-    """The scaled column against a 40-digit b^l * gap of the same floats.
+    """The scaled gap against a 40-digit b^l * gap of the same floats.
 
     exp(l*log(b) + log(gap)) takes five roundings: the two logs and the
     exp, each within an ulp (2u relative, u = 2^-53), and the product and
@@ -248,13 +258,17 @@ def test_scaled_column_is_accurate(spec, l):
     same relative error, plus 2u of its own.  That is at most
     4*(|l*log b| + |log gap|)*u + 2u to first order, so
     4*(|l*log b| + |log gap| + 1)*u bounds it with room for the
-    second-order terms.
+    second-order terms.  The rows are 1500 frequencies drawn from
+    [1, 2e4] and the scan's own.
     """
-    rows = weakly_diophantine_scan(auxiliary_measure(parse_spec(spec).ifs), l, 2e4, 2048).rows
-    rng = np.random.default_rng(11)
+    lam = auxiliary_measure(parse_spec(spec).ifs)
+    bs = np.random.default_rng(11).uniform(1.0, 2e4, 1500).tolist()
+    bs += [row[0] for row in weakly_diophantine_scan(lam, l, 2e4).rows]
     worst = 0.0
     with mpmath.workdps(40):
-        for b, gap, scaled in rows[rng.choice(len(rows), size=1500, replace=False)].tolist():
+        for b in bs:
+            gap = abs(1.0 - laplace_transform(lam, 1j * b))
+            scaled = _scaled_gap(b, gap, l)
             assert math.isfinite(scaled) and scaled > 0.0
             exact = mpmath.mpf(b) ** mpmath.mpf(l) * mpmath.mpf(gap)
             units = (abs(l * math.log(b)) + abs(math.log(gap)) + 1.0) * 2.0 ** -53
@@ -262,13 +276,89 @@ def test_scaled_column_is_accurate(spec, l):
     assert worst <= 4.0
 
 
+def mp_gap(lam, b):
+    """|1 - L(i*b)| of the float atoms at the float b, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        value = 1 - mpmath.fsum(mpmath.mpf(m) * mpmath.expj(-mpmath.mpf(b) * mpmath.mpf(loc))
+                                for loc, m in lam.atoms)
+        return abs(value)
+
+
+@pytest.mark.parametrize("spec,l", [('{"luroth": [2, 3]}', 2.0),
+                                    ('{"maps": [["9/10", "0"], ["1/20", "19/20"]]}', 2.0)],
+                         ids=["luroth23", "ninety"])
+def test_block_lower_bounds_hold_against_mpmath(spec, l):
+    lam = auxiliary_measure(parse_spec(spec).ifs)
+    rows = weakly_diophantine_scan(lam, l, 2e4).rows
+    for b, gap, _, lower, _, _ in rows:
+        exact = mp_gap(lam, b)
+        assert lower <= exact and abs(gap - exact) <= 1e-12
+        assert gap - lower <= 0.03 * gap
+    # A dense sweep of the block [16, 32] at spacing 1/200, then a finer one
+    # around its least point: no sampled gap is below the block's bound.
+    b, _, _, lower, lo, hi = rows[4]
+    sweep = [lo + (hi - lo) * k / 3200 for k in range(3201)]
+    least = min(sweep, key=lambda x: mp_gap(lam, x))
+    sweep += [least + k * 1e-6 for k in range(-1000, 1001)]
+    assert lower <= min(mp_gap(lam, x) for x in sweep) <= mp_gap(lam, b)
+
+
+def test_gap_bounds_hold_over_each_interval(luroth_lambda):
+    # A centre's bound is below f = |1 - L(i*b)|^2 at every point of its
+    # interval: on start-width intervals, where the M*r^2/2 term carries it
+    # over the maxima of f, and near b = 719149.58, where a gap of about
+    # 5e-10 is taken from phases rounded by about 1e-10, so that only the
+    # rounding allowance keeps it below the mpmath value.
+    curvature = 2.0 * luroth_lambda.sigma ** 2 + 4.0 * math.fsum(
+        m * loc * loc for loc, m in luroth_lambda.atoms)
+    r = 0.5 / math.sqrt(curvature)
+    centres = np.random.default_rng(3).uniform(2.0, 200.0, 300)
+    _, bounds = _gap_bounds(luroth_lambda, centres, r, curvature)
+    offsets = np.linspace(-r, r, 401)
+    for c, bound in zip(centres, bounds):
+        gaps = np.abs(1.0 - laplace_transform(luroth_lambda, 1j * (c + offsets)))
+        assert bound <= np.min(gaps) ** 2
+    centres = 719149.583714323 + np.arange(-100, 100) * 1e-7
+    _, bounds = _gap_bounds(luroth_lambda, centres, 1e-12, curvature)
+    assert all(bound <= mp_gap(luroth_lambda, c) ** 2 for c, bound in zip(centres, bounds))
+
+
+@pytest.mark.parametrize("spec,l,minimum", [
+    ('{"luroth": [2, 3]}', 2.0, 7.4156e-9),
+    ('{"maps": [["9/10", "0"], ["1/20", "19/20"]]}', 2.0, 1.5888e-8),
+], ids=["luroth23", "ninety"])
+def test_scan_brackets_the_known_minimum(spec, l, minimum):
+    # The minima on [1, 1e5], found in mpmath: 7.4156e-9 at b = 6028.03886233
+    # and 1.5888e-8 at b = 91003.16817031.  A grid of 448 497 points saw
+    # 1.0e-4 and 6.8e-5.
+    report = weakly_diophantine_scan(auxiliary_measure(parse_spec(spec).ifs), l, 1e5)
+    assert report.scan_min_lower <= minimum <= report.scan_min
+    assert report.scan_min - report.scan_min_lower <= 0.04 * report.scan_min
+
+
+def test_scan_memory_does_not_grow_with_b_max(luroth_lambda):
+    # Centres are evaluated at most SCAN_CHUNK at a time, and only the
+    # intervals still to split are kept.
+    peaks = []
+    for b_max in (1e5, 1e6):
+        tracemalloc.start()
+        try:
+            weakly_diophantine_scan(luroth_lambda, 2.0, b_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 ** 20
+
+
 def test_scan_validation(luroth_lambda):
     with pytest.raises(InputError):
-        weakly_diophantine_scan(luroth_lambda, 0.0, 100.0, 64)
+        weakly_diophantine_scan(luroth_lambda, 0.0, 100.0)
     with pytest.raises(InputError):
-        weakly_diophantine_scan(luroth_lambda, 2.0, 0.5, 64)
+        weakly_diophantine_scan(luroth_lambda, 2.0, 0.5)
     with pytest.raises(InputError):
-        weakly_diophantine_scan(luroth_lambda, 2.0, 100.0, 1)
+        weakly_diophantine_scan(luroth_lambda, 2.0, 1.0)
+    with pytest.raises(InputError):
+        weakly_diophantine_scan(luroth_lambda, 2.0, math.nan)
 
 
 def test_continued_fraction_golden():
@@ -329,7 +419,7 @@ def test_classify_lattice(luroth_lambda, lattice_lambda):
     three_eleven = auxiliary_measure(luroth_ifs((3, 11)))
     assert classify_lattice(three_eleven) == "non-lattice"
     assert lattice_test(three_eleven) is False
-    report = weakly_diophantine_scan(three_eleven, 2.0, 200.0, 64)
+    report = weakly_diophantine_scan(three_eleven, 2.0, 200.0)
     assert report.classification == "non-lattice" and report.lattice is False
 
 
