@@ -28,7 +28,6 @@ at call time, so a tracer can replace them here.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -37,6 +36,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+# The interpreter's own sha256, so that no command maps OpenSSL's libcrypto
+# (about 3.5 MB) for two digests; hashlib only where neither module exists.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .dimension import natural_weights, solve_moran
@@ -103,7 +112,7 @@ def parse_spec(text: str) -> JobSpec:
         raise InputError(f"unknown spec field {sorted(unknown)[0]!r}")
     if ("maps" in doc) == ("luroth" in doc):
         raise InputError("spec needs exactly one of the fields 'maps' or 'luroth'")
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
     luroth_digits = None
@@ -219,7 +228,7 @@ def _write_artifacts(args: argparse.Namespace, spec_sha: str | None, summary: di
         for name, (header, count, blocks) in tables.items():
             path = base + ext if name == "main" else f"{base}.{name}{ext}"
             head = _unquoted(",".join(header) + "\r\n", 1, len(header)).encode()
-            digest = hashlib.sha256(head)
+            digest = sha256(head)
             with open(path, "wb") as fh:
                 opened.append(path)
                 fh.write(head)

@@ -39,9 +39,10 @@ ATOM_MERGE_TOL = 1e-12
 
 # The resonance scan splits an interval while its lower bound on the squared
 # gap is below (1 - SCAN_TOL)^2 times its block's least value, and evaluates
-# at most SCAN_CHUNK centres in one array.
+# at most SCAN_CHUNK centres in one array, TILE of them per ufunc step.
 SCAN_TOL = 0.02
 SCAN_CHUNK = 65536
+TILE = 8192
 _U = 2.0 ** -53  # unit roundoff of float64
 
 @dataclass(frozen=True)
@@ -149,8 +150,14 @@ def _scaled_gap(b: float, gap: float, l: float) -> float:
     return math.inf if e >= 709.0 else math.exp(e)
 
 
-def _gap_bounds(lam: AuxiliaryMeasure, b: np.ndarray, r: float,
-                curvature: float) -> tuple[np.ndarray, np.ndarray]:
+def _workspace(n: int = SCAN_CHUNK) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work rows for one tile of centres, and f and bound buffers for n centres."""
+    return np.empty((8, min(TILE, n))), np.empty(n), np.empty(n)
+
+
+def _gap_bounds(lam: AuxiliaryMeasure, b: np.ndarray, r: float, curvature: float,
+                workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                ) -> tuple[np.ndarray, np.ndarray]:
     """f = |1 - L(i*b)|^2 at the centres b, and a lower bound on f over b +- r.
 
     With g = 1 - L(i*b) = re + i*im and u = 2^-53, f = re^2 + im^2 and
@@ -168,29 +175,68 @@ def _gap_bounds(lam: AuxiliaryMeasure, b: np.ndarray, r: float,
       the latter times r.
     - 16u*(f + |f'|*r + M*r^2/2) covers the rounding of the squares, of
       the products and of the subtractions that form the bound.
+
+    The centres are taken TILE at a time, each step written into the
+    workspace's rows; f and the bound are views of its two buffers, valid
+    until the next call with the same workspace (_workspace(len(b)) when
+    none is given).  Every value is the same float operation, in the same
+    order, as over the whole array at once.
     """
-    re, im = np.ones_like(b), np.zeros_like(b)
-    d_re, d_im = np.zeros_like(b), np.zeros_like(b)
-    for loc, mass in lam.atoms:
-        phase = b * loc
-        cos, sin = np.cos(phase), np.sin(phase)
-        re -= mass * cos
-        im += mass * sin
-        d_re += (mass * loc) * sin
-        d_im += (mass * loc) * cos
-    f = re * re + im * im
-    drop = 2.0 * np.abs(re * d_re + im * d_im) * r + 0.5 * curvature * r * r
+    n = len(b)
+    work, f_out, bound_out = _workspace(n) if workspace is None else workspace
+    f_out, bound_out = f_out[:n], bound_out[:n]
     terms = 2 * len(lam.atoms) + 10
-    e = _U * (b * lam.sigma + terms)
-    e_d = _U * (b * (curvature / 4.0) + terms * lam.sigma)
-    size, d_size = np.abs(re) + np.abs(im), np.abs(d_re) + np.abs(d_im)
-    allowance = (2.0 * e * (size + e) + 2.0 * r * (e_d * size + e * d_size + 2.0 * e * e_d)
-                 + 16.0 * _U * (f + drop))
-    return f, f - drop - allowance
+    tail = 0.5 * curvature * r * r
+    for start in range(0, n, TILE):
+        stop = min(start + TILE, n)
+        c, f, bound = b[start:stop], f_out[start:stop], bound_out[start:stop]
+        re, im, d_re, d_im, cos, sin, tmp, drop = work[:, :stop - start]
+        re.fill(1.0)
+        im.fill(0.0)
+        d_re.fill(0.0)
+        d_im.fill(0.0)
+        for loc, mass in lam.atoms:
+            np.multiply(c, loc, out=cos)
+            np.sin(cos, out=sin)
+            np.cos(cos, out=cos)
+            re -= np.multiply(cos, mass, out=tmp)
+            im += np.multiply(sin, mass, out=tmp)
+            d_re += np.multiply(sin, mass * loc, out=tmp)
+            d_im += np.multiply(cos, mass * loc, out=tmp)
+        np.add(np.multiply(re, re, out=f), np.multiply(im, im, out=tmp), out=f)
+        # drop = 2|re*re' + im*im'|*r + M*r^2/2
+        np.add(np.multiply(re, d_re, out=drop), np.multiply(im, d_im, out=tmp), out=drop)
+        np.abs(drop, out=drop)
+        drop *= 2.0
+        drop *= r
+        drop += tail
+        # e in cos's row, e' in sin's; |re| + |im| in re's, |re'| + |im'| in d_re's.
+        e, e_d = cos, sin
+        np.multiply(c, lam.sigma, out=e)
+        e += terms
+        e *= _U
+        np.multiply(c, curvature / 4.0, out=e_d)
+        e_d += terms * lam.sigma
+        e_d *= _U
+        size = np.add(np.abs(re, out=re), np.abs(im, out=im), out=re)
+        d_size = np.add(np.abs(d_re, out=d_re), np.abs(d_im, out=d_im), out=d_re)
+        # allowance = 2e*(size + e) + 2r*(e'*size + e*d_size + 2e*e')
+        #             + 16u*(f + drop), summed into tmp.
+        two_e = np.multiply(e, 2.0, out=im)
+        np.multiply(two_e, np.add(size, e, out=tmp), out=tmp)
+        np.add(np.multiply(e_d, size, out=size), np.multiply(e, d_size, out=d_size), out=size)
+        size += np.multiply(two_e, e_d, out=two_e)
+        size *= 2.0 * r
+        tmp += size
+        tmp += np.multiply(np.add(f, drop, out=d_im), 16.0 * _U, out=d_im)
+        np.subtract(np.subtract(f, drop, out=bound), tmp, out=bound)
+    return f_out, bound_out
 
 
 def _block_minimum(lam: AuxiliaryMeasure, lo: float, hi: float, count: int,
-                   curvature: float, spent: int, cap: int) -> tuple[float, float, int]:
+                   curvature: float, spent: int, cap: int,
+                   workspace: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   ) -> tuple[float, float, int]:
     """(least-f centre, lower bound on f, evaluations) over the block [lo, hi].
 
     The block is cut into ``count`` equal intervals, each evaluated at its
@@ -200,16 +246,22 @@ def _block_minimum(lam: AuxiliaryMeasure, lo: float, hi: float, count: int,
     radius is the half-width plus a slack: 4u*hi for the first centres
     (the rounding of the width, its multiple and the sum), u*hi more per
     split.  Splitting stops at float resolution, once the half-width is
-    no more than the slack.  Intervals are evaluated SCAN_CHUNK at a time,
-    newest first, so the least f falls early and few are alive at once.
-    Evaluations are counted on from ``spent``, against ``cap``.
+    no more than the slack.  Intervals are evaluated SCAN_CHUNK at a time
+    in ``workspace`` (a _workspace()), newest first, so the least f falls
+    early and few are alive at once.  Evaluations are counted on from
+    ``spent``, against ``cap``.
     """
     width = (hi - lo) / count
     threshold = (1.0 - SCAN_TOL) ** 2
     best, argmin, lower = math.inf, lo, math.inf
     for start in range(0, count, SCAN_CHUNK):
-        index = np.arange(start, min(start + SCAN_CHUNK, count), dtype=float)
-        pending = [(lo + (index + 0.5) * width, width / 2.0, 4.0 * _U * hi)]
+        # Centres and children are formed in place, with no whole-chunk
+        # temporaries, so the workspace sets the scan's peak.
+        b = np.arange(start, min(start + SCAN_CHUNK, count), dtype=float)
+        b += 0.5
+        b *= width
+        b += lo
+        pending = [(b, width / 2.0, 4.0 * _U * hi)]
         while pending:
             b, half, slack = pending.pop()
             if len(b) > SCAN_CHUNK:
@@ -219,16 +271,18 @@ def _block_minimum(lam: AuxiliaryMeasure, lo: float, hi: float, count: int,
                 raise ResourceCapError(
                     f"resonance scan needs more than {cap} evaluations, cap={cap}")
             spent += len(b)
-            f, bound = _gap_bounds(lam, b, half + slack, curvature)
+            f, bound = _gap_bounds(lam, b, half + slack, curvature, workspace)
             i = int(np.argmin(f))
             if f[i] < best:
                 best, argmin = float(f[i]), float(b[i])
             split = (bound < threshold * best) & (half > slack)
-            lower = min(lower, float(bound[~split].min(initial=math.inf)))
+            lower = min(lower, float(np.min(bound, where=~split, initial=math.inf)))
             if split.any():
                 b = b[split]
-                pending.append((np.concatenate((b - half / 2.0, b + half / 2.0)),
-                                half / 2.0, slack + _U * hi))
+                children = np.empty(2 * len(b))
+                np.subtract(b, half / 2.0, out=children[:len(b)])
+                np.add(b, half / 2.0, out=children[len(b):])
+                pending.append((children, half / 2.0, slack + _U * hi))
     return argmin, lower, spent
 
 
@@ -269,9 +323,9 @@ def weakly_diophantine_scan(
     initial = sum(count for _, _, count in blocks)
     if initial > cap:
         raise ResourceCapError(f"resonance scan needs at least {initial} evaluations, cap={cap}")
-    rows, spent = [], 0
+    rows, spent, workspace = [], 0, _workspace()
     for lo, hi, count in blocks:
-        b, lower, spent = _block_minimum(lam, lo, hi, count, curvature, spent, cap)
+        b, lower, spent = _block_minimum(lam, lo, hi, count, curvature, spent, cap, workspace)
         gap = abs(1.0 - laplace_transform(lam, 1j * b))
         gap_lower = math.nextafter(math.sqrt(lower), 0.0) if lower > 0.0 else 0.0
         rows.append((b, gap, _scaled_gap(b, gap, l), gap_lower, lo, hi))

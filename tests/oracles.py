@@ -10,12 +10,13 @@ every symbol multiset, a sum of multinomial
 coefficients over count vectors for stopping-family sizes, and exact
 integer k-th roots for perfect powers.  The overshoot
 sampler's panel stream is restated as a loop over walkers and their
-runs.  Six oracles are earlier versions of library code kept as
+runs.  Seven oracles are earlier versions of library code kept as
 references: compose_word, which composes a word in orbit order, the
 row-by-row diagonal sweep and the blocked sweep over every cylinder
 pair that followed it, the Fraction refinement of Luroth cylinder
 intervals, the CSV rendering of a table row by row through csv.writer,
-and the scaled resonance gap taken one row at a time.
+the scaled resonance gap taken one row at a time, and the resonance
+gap's bounds taken over a whole array at once.
 """
 
 from __future__ import annotations
@@ -417,6 +418,33 @@ def scaled_gap(b: float, gap: float, l: float) -> float:
     if e >= 709.0:
         return math.inf
     return math.exp(e)
+
+
+def gap_bounds(lam, b, r: float, curvature: float):
+    """f = |1 - L(i*b)|^2 and its lower bound over b +- r, whole-array ufuncs.
+
+    The formula of selfsim.diophantine._gap_bounds (whose docstring derives
+    the allowance), each step one new temporary over all the centres.
+    """
+    u = 2.0 ** -53
+    re, im = np.ones_like(b), np.zeros_like(b)
+    d_re, d_im = np.zeros_like(b), np.zeros_like(b)
+    for loc, mass in lam.atoms:
+        phase = b * loc
+        cos, sin = np.cos(phase), np.sin(phase)
+        re -= mass * cos
+        im += mass * sin
+        d_re += (mass * loc) * sin
+        d_im += (mass * loc) * cos
+    f = re * re + im * im
+    drop = 2.0 * np.abs(re * d_re + im * d_im) * r + 0.5 * curvature * r * r
+    terms = 2 * len(lam.atoms) + 10
+    e = u * (b * lam.sigma + terms)
+    e_d = u * (b * (curvature / 4.0) + terms * lam.sigma)
+    size, d_size = np.abs(re) + np.abs(im), np.abs(d_re) + np.abs(d_im)
+    allowance = (2.0 * e * (size + e) + 2.0 * r * (e_d * size + e * d_size + 2.0 * e * e_d)
+                 + 16.0 * u * (f + drop))
+    return f, f - drop - allowance
 
 
 def integer_root(m: int, k: int) -> int:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import selfsim.diophantine
-from oracles import is_perfect_power, scaled_gap
+from oracles import gap_bounds, is_perfect_power, scaled_gap
 from selfsim import (
     DiophantineReport,
     InputError,
@@ -26,7 +26,7 @@ from selfsim import (
     weakly_diophantine_scan,
 )
 from selfsim.cli import parse_spec
-from selfsim.diophantine import _gap_bounds, _scaled_gap
+from selfsim.diophantine import SCAN_CHUNK, TILE, _gap_bounds, _scaled_gap, _workspace
 from selfsim.luroth import luroth_ifs, luroth_natural_ifs
 
 
@@ -323,6 +323,30 @@ def test_gap_bounds_hold_over_each_interval(luroth_lambda):
     assert all(bound <= mp_gap(luroth_lambda, c) ** 2 for c, bound in zip(centres, bounds))
 
 
+@pytest.mark.parametrize("spec", ['{"luroth": [2, 3]}',
+                                  '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}',
+                                  '{"luroth": [2, 3, 5, 7]}'],
+                         ids=["luroth23", "ninety", "luroth2357"])
+def test_gap_bounds_equal_the_whole_array_formula_bit_for_bit(spec):
+    # The kernel steps through TILE centres at a time, in place; each value
+    # is the whole-array formula's, also with one workspace reused from a
+    # longer call to shorter ones, as the scan reuses it.  The centres span
+    # [1, 1e16], so that on the top decades the rounding allowance outweighs
+    # f and its bits reach the bound's.
+    lam = auxiliary_measure(parse_spec(spec).ifs)
+    curvature = 2.0 * lam.sigma ** 2 + 4.0 * math.fsum(m * loc * loc for loc, m in lam.atoms)
+    rng = np.random.default_rng(37)
+    shared = _workspace()
+    for n in (SCAN_CHUNK, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5):
+        b = np.sort(10.0 ** rng.uniform(0.0, 16.0, n))
+        for r in (0.3, 1e-12):
+            want = gap_bounds(lam, b, r, curvature)
+            for workspace in (None, shared):
+                got = _gap_bounds(lam, b, r, curvature, workspace)
+                for w, g in zip(want, got):
+                    assert np.array_equal(w.view(np.int64), g.view(np.int64)), (n, r)
+
+
 @pytest.mark.parametrize("spec,l,minimum", [
     ('{"luroth": [2, 3]}', 2.0, 7.4156e-9),
     ('{"maps": [["9/10", "0"], ["1/20", "19/20"]]}', 2.0, 1.5888e-8),
@@ -348,6 +372,23 @@ def test_scan_memory_does_not_grow_with_b_max(luroth_lambda):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2 ** 20
+
+
+@pytest.mark.parametrize("spec", ['{"luroth": [2, 3]}',
+                                  '{"maps": [["9/10", "0"], ["1/20", "19/20"]]}'],
+                         ids=["luroth23", "ninety"])
+def test_scan_traced_peak_is_small(spec):
+    # One workspace serves the whole scan: 8 rows of TILE centres and the
+    # two SCAN_CHUNK buffers of f and the bound, 1.5 MiB.  A new temporary
+    # of up to SCAN_CHUNK centres per ufunc step peaked at 9.0 and 8.6 MiB.
+    lam = auxiliary_measure(parse_spec(spec).ifs)
+    tracemalloc.start()
+    try:
+        weakly_diophantine_scan(lam, 2.0, 1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20
 
 
 def test_scan_validation(luroth_lambda):
