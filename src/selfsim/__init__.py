@@ -11,12 +11,9 @@ overshoot limits by simulation.
 from .dimension import MoranSolution, moran_value, natural_weights, solve_moran
 from .diophantine import (
     AuxiliaryMeasure,
-    ContinuedFraction,
     DiophantineReport,
     auxiliary_measure,
     classify_lattice,
-    classify_ratio,
-    continued_fraction_expansion,
     laplace_transform,
     lattice_test,
     matveev_degree,
@@ -81,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxiliaryMeasure",
-    "ContinuedFraction",
     "DEFAULT_WORD_CAP",
     "DecayFit",
     "DiophantineReport",
@@ -106,8 +102,6 @@ __all__ = [
     "beta_prop10",
     "beta_theorem4",
     "classify_lattice",
-    "classify_ratio",
-    "continued_fraction_expansion",
     "decay_fit",
     "diagonal_mass",
     "dyadic_scan",

@@ -77,15 +77,16 @@ class JobSpec:
     sha256: str
 
 
-def _number(value, field: str) -> float:
-    """A spec number read exactly, then rounded once to a finite float."""
+def _number(value, field: str) -> Fraction:
+    """A spec number read exactly, checked to round to a finite float."""
     try:
         if isinstance(value, bool):
             raise ValueError("booleans are not numbers")
-        if isinstance(value, (int, str)):
-            return float(Fraction(value))
-        if isinstance(value, float):
-            return float(Fraction(str(value)))
+        if isinstance(value, (int, str, float)):
+            # A float through its shortest repr; float() refuses a value past its range.
+            exact = Fraction(str(value))
+            float(exact)
+            return exact
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"field {field!r}: cannot read {value!r} as a finite number") from exc
     raise InputError(f"field {field!r}: cannot read {value!r} as a finite number")
@@ -97,9 +98,10 @@ def parse_spec(text: str) -> JobSpec:
     Exactly one of "maps" (list of [ratio, translation] pairs, optionally
     with "weights") or "luroth" (list of digits >= 2) must be present.
     Ratios, translations and weights are parsed exactly from fraction
-    strings "p/q" or decimal strings.  When weights are omitted the system
-    gets the natural weights at its solved dimension, which requires the
-    disjointness precondition to hold.
+    strings "p/q" or decimal strings; the maps keep their exact ratios,
+    and the weights are rounded to floats.  When weights are omitted the
+    system gets the natural weights at its solved dimension, which requires
+    the disjointness precondition to hold.
     """
     try:
         doc = json.loads(text)
@@ -137,7 +139,7 @@ def parse_spec(text: str) -> JobSpec:
             wrow = doc["weights"]
             if not isinstance(wrow, list) or len(wrow) != len(maps):
                 raise InputError("field 'weights': must list one weight per map")
-            weights = tuple(_number(w, f"weights[{i}]") for i, w in enumerate(wrow))
+            weights = tuple(float(_number(w, f"weights[{i}]")) for i, w in enumerate(wrow))
             ifs = WeightedIFS(tuple(range(len(maps))), tuple(maps), weights)
             return JobSpec(ifs, None, None, digest)
         base = WeightedIFS(tuple(range(len(maps))), tuple(maps),

@@ -5,9 +5,12 @@ each alphabet symbol.  Its Laplace transform on the imaginary axis detects
 near-resonances: frequencies b where 1 - L(i*b) nearly vanishes.  The scan
 here brackets the least gap in each dyadic block of b, to show how fast the
 near-zeros decay relative to b^l: a weak diophantine property of the
-location ratios.  The module also hosts continued fractions, a rationality
-test for location ratios, and the closed-form linear-forms-in-logarithms
-constants used by the integer-digit applications.
+location ratios.  The module also decides whether the locations lie on
+one lattice, exactly on the maps' rational ratios: a float ratio is taken
+at its binary value, so the floats 1/3 and 1/9 are non-lattice, while
+Fraction(1, 3) and Fraction(1, 9) are a lattice.  It also hosts the
+closed-form linear-forms-in-logarithms constants used by the
+integer-digit applications.
 """
 
 from __future__ import annotations
@@ -20,22 +23,6 @@ import numpy as np
 
 from .errors import InputError, ResourceCapError
 from .ifs import DEFAULT_WORD_CAP, WeightedIFS
-
-# Rationality detection for location ratios: certified denominators stay
-# at or below this cap, with this residual tolerance.
-LATTICE_DENOMINATOR_CAP = 10 ** 6
-LATTICE_TOL = 1e-11
-
-# Continued fractions stop once denominators pass this guard; beyond it a
-# float carries no further usable quotients.
-CF_DENOMINATOR_GUARD = 2 ** 50
-
-# A partial quotient this large marks the remainder as zero at float
-# precision, i.e. the expansion has effectively terminated.
-HUGE_QUOTIENT = 10 ** 8
-
-# Atom locations closer than this are merged.
-ATOM_MERGE_TOL = 1e-12
 
 # The resonance scan splits an interval while its lower bound on the squared
 # gap is below (1 - SCAN_TOL)^2 times its block's least value, and evaluates
@@ -51,11 +38,12 @@ class AuxiliaryMeasure:
 
     ``atoms`` holds (location, mass) pairs with strictly increasing
     locations and positive masses summing to 1.  ``sigma`` is the mean
-    location.
+    location.  ``lattice`` is True when the locations lie on one lattice c*Z.
     """
 
     atoms: tuple[tuple[float, float], ...]
     sigma: float
+    lattice: bool
 
     @property
     def locations(self) -> tuple[float, ...]:
@@ -74,21 +62,83 @@ class AuxiliaryMeasure:
         return math.fsum(m for loc, m in self.atoms if loc > z)
 
 
+def _refine(base: list[int], numbers) -> None:
+    """Gcd refinement (Bernstein 2005, plain form) of the pairwise coprime ``base``.
+
+    An element b that shares a factor g > 1 with a pending x gives way to
+    b/g, g and x/g, all pending.  Each step divides the product of base and
+    pending by g, so it ends with every number a product of the base.
+    """
+    pending = [x for x in numbers if x > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                pending += [y for y in (base.pop(i) // g, g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+
+
+def _exponents(r: Fraction, base: list[int]) -> list[int]:
+    """The vector v with r = prod base[k]^v[k], over a base refined by r."""
+    vector = []
+    for b in base:
+        k, num, den = 0, r.numerator, r.denominator
+        while num % b == 0:
+            num, k = num // b, k + 1
+        while den % b == 0:
+            den, k = den // b, k - 1
+        vector.append(k)
+    return vector
+
+
+def _commensurable(ratios) -> bool:
+    """True when the logs of the exact ratios, none of them 1, lie on one lattice c*Z.
+
+    log r / log s is rational iff r^a = s^b for some integers (a, b) != 0,
+    iff the exponent vectors of r and s over a coprime base are parallel.
+    The base grows one ratio at a time, and each vector is checked against
+    the first's by 2x2 minors, so the first ratio off the lattice ends it.
+    """
+    ratios = sorted(set(ratios))
+    base: list[int] = []
+    for r in ratios:
+        _refine(base, (r.numerator, r.denominator))
+        u, v = _exponents(ratios[0], base), _exponents(r, base)
+        k = next(i for i, e in enumerate(u) if e)
+        if any(u[k] * v[j] != u[j] * v[k] for j in range(len(base))):
+            return False
+    return True
+
+
 def auxiliary_measure(ifs: WeightedIFS) -> AuxiliaryMeasure:
     """Place each symbol's weight at its log contraction -log(ratio).
 
-    Locations within ATOM_MERGE_TOL of each other are merged onto the
-    smallest location of the run, accumulating their masses.
+    Maps whose float locations are equal share one atom, with their
+    weights summed; the maps' exact ratios decide ``lattice``.
     """
     pairs = sorted((-math.log(m.ratio), w) for m, w in zip(ifs.maps, ifs.weights))
     merged: list[tuple[float, float]] = []
     for loc, w in pairs:
-        if merged and loc - merged[-1][0] <= ATOM_MERGE_TOL:
-            merged[-1] = (merged[-1][0], merged[-1][1] + w)
+        if merged and loc == merged[-1][0]:
+            merged[-1] = (loc, merged[-1][1] + w)
         else:
             merged.append((loc, w))
     sigma = math.fsum(loc * w for loc, w in merged)
-    return AuxiliaryMeasure(tuple(merged), sigma)
+    return AuxiliaryMeasure(tuple(merged), sigma,
+                            _commensurable(m.exact_ratio for m in ifs.maps))
+
+
+def classify_lattice(lam: AuxiliaryMeasure) -> str:
+    """'lattice' when the atom locations lie on one lattice c*Z, else 'non-lattice'."""
+    return "lattice" if lam.lattice else "non-lattice"
+
+
+def lattice_test(lam: AuxiliaryMeasure) -> bool:
+    """True when the atom locations lie on one lattice c*Z."""
+    return lam.lattice
 
 
 def laplace_transform(lam: AuxiliaryMeasure, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -110,7 +160,8 @@ class DiophantineReport:
     ``rows`` holds one tuple (b, gap, scaled_gap, gap_lower, block_lo,
     block_hi) per block, blocks ascending, as weakly_diophantine_scan
     describes them; ``evaluations`` counts the points where the gap was
-    evaluated, and ``classification`` is classify_lattice's verdict.
+    evaluated, and ``classification`` is classify_lattice's verdict,
+    "lattice" or "non-lattice".
     """
 
     degree_l: float
@@ -120,7 +171,7 @@ class DiophantineReport:
 
     @property
     def lattice(self) -> bool:
-        """True only for a certified lattice, as lattice_test gives it."""
+        """True for a lattice system, as lattice_test gives it."""
         return self.classification == "lattice"
 
     @property
@@ -330,114 +381,6 @@ def weakly_diophantine_scan(
         gap_lower = math.nextafter(math.sqrt(lower), 0.0) if lower > 0.0 else 0.0
         rows.append((b, gap, _scaled_gap(b, gap, l), gap_lower, lo, hi))
     return DiophantineReport(float(l), tuple(rows), classify_lattice(lam), spent)
-
-
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Partial quotients and convergents of a number in (0,1).
-
-    ``terminating`` marks an expansion that ended because the input is a
-    rational (exactly, or at float precision); ``precision_exhausted``
-    marks a stop forced by the denominator guard before any such ending.
-    """
-
-    quotients: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]
-    terminating: bool
-    precision_exhausted: bool
-
-
-def continued_fraction_expansion(theta: float, n: int) -> ContinuedFraction:
-    """Exact continued fraction of the float's binary rational value.
-
-    Up to ``n`` partial quotients of theta = [0; a1, a2, ...] are produced
-    by integer Euclid steps on the exact fraction.  The expansion stops
-    early with ``terminating`` when the remainder vanishes or a partial
-    quotient reaches HUGE_QUOTIENT (the float is that convergent to
-    machine precision), and with ``precision_exhausted`` when convergent
-    denominators pass CF_DENOMINATOR_GUARD.
-    """
-    if not (0.0 < theta < 1.0):
-        raise InputError(f"continued fractions expect theta in (0,1), got {theta!r}")
-    if n < 1:
-        raise InputError(f"need at least one quotient, got {n!r}")
-    frac = Fraction(theta)
-    num, den = frac.numerator, frac.denominator
-    quotients: list[int] = []
-    convergents: list[tuple[int, int]] = []
-    p_prev, p_cur = 1, 0
-    q_prev, q_cur = 0, 1
-    terminating = False
-    exhausted = False
-    while len(quotients) < n:
-        a = den // num
-        rem = den - a * num
-        if a >= HUGE_QUOTIENT:
-            terminating = True
-            break
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        quotients.append(a)
-        convergents.append((p_cur, q_cur))
-        if rem == 0:
-            terminating = True
-            break
-        if q_cur > CF_DENOMINATOR_GUARD:
-            exhausted = True
-            break
-        num, den = rem, num
-    return ContinuedFraction(tuple(quotients), tuple(convergents),
-                             terminating, exhausted)
-
-
-def classify_ratio(theta: float) -> str:
-    """Classify a ratio in (0,1) as 'rational', 'irrational' or 'indeterminate'.
-
-    Certified rational: the expansion terminates at a convergent with
-    denominator at most LATTICE_DENOMINATOR_CAP matching theta within
-    LATTICE_TOL.  Certified irrational: no convergent under the cap gets
-    within LATTICE_TOL.  Anything between is indeterminate; a ratio can
-    sit within 1e-12 of a modest fraction without being rational, so a
-    close convergent without a terminating expansion proves nothing.
-    """
-    cf = continued_fraction_expansion(theta, 64)
-    best_err = math.inf
-    for p, q in cf.convergents:
-        if q > LATTICE_DENOMINATOR_CAP:
-            break
-        best_err = min(best_err, abs(theta - p / q))
-    if (cf.terminating and best_err <= LATTICE_TOL
-            and cf.convergents[-1][1] <= LATTICE_DENOMINATOR_CAP):
-        return "rational"
-    if best_err <= LATTICE_TOL:
-        return "indeterminate"
-    return "irrational"
-
-
-def classify_lattice(lam: AuxiliaryMeasure) -> str:
-    """Tri-state lattice classification of the atom locations.
-
-    The support lies on a lattice c*Z exactly when every pairwise ratio of
-    locations is rational.  Returns 'lattice', 'non-lattice' or
-    'indeterminate' (some ratio was too close to a fraction to refute but
-    not certified rational).
-    """
-    locs = lam.locations
-    saw_indeterminate = False
-    for i in range(len(locs)):
-        for j in range(i + 1, len(locs)):
-            ratio = locs[i] / locs[j]
-            verdict = classify_ratio(ratio)
-            if verdict == "irrational":
-                return "non-lattice"
-            if verdict == "indeterminate":
-                saw_indeterminate = True
-    return "indeterminate" if saw_indeterminate else "lattice"
-
-
-def lattice_test(lam: AuxiliaryMeasure) -> bool:
-    """True only for a certified lattice; indeterminate counts as False."""
-    return classify_lattice(lam) == "lattice"
 
 
 def _check_digits(digits) -> tuple[int, ...]:

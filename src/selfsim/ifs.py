@@ -12,7 +12,8 @@ symbol counts n(w); _stopping_states decides it for the Fourier sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import compress
 from operator import mul
 from typing import Sequence
@@ -31,21 +32,31 @@ DEFAULT_WORD_CAP = 50_000_000
 
 @dataclass(frozen=True)
 class Similitude:
-    """Contraction x -> ratio * x + translation mapping [0,1] into itself."""
+    """Contraction x -> ratio * x + translation mapping [0,1] into itself.
+
+    Ratio and translation may be ints, floats or Fractions and are kept as
+    correctly rounded floats; ``exact_ratio`` is the ratio's exact value (a
+    float's binary value), which equality and hashing ignore.
+    """
 
     ratio: float
     translation: float
+    exact_ratio: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.ratio < 1.0):
+        ratio, translation = float(self.ratio), float(self.translation)
+        if not (0.0 < ratio < 1.0):
             raise InputError(
-                f"contraction ratio must lie strictly between 0 and 1, got {self.ratio!r}")
-        if self.translation < 0.0:
-            raise InputError(f"translation must be nonnegative, got {self.translation!r}")
-        if self.ratio + self.translation > 1.0 + DISJOINT_TOL:
+                f"contraction ratio must lie strictly between 0 and 1, got {ratio!r}")
+        if translation < 0.0:
+            raise InputError(f"translation must be nonnegative, got {translation!r}")
+        if ratio + translation > 1.0 + DISJOINT_TOL:
             raise InputError(
                 "map must send [0,1] into itself: ratio + translation = "
-                f"{self.ratio + self.translation!r} exceeds 1")
+                f"{ratio + translation!r} exceeds 1")
+        object.__setattr__(self, "exact_ratio", Fraction(self.ratio))
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "translation", translation)
 
     def __call__(self, x: float) -> float:
         return self.ratio * x + self.translation

@@ -54,13 +54,14 @@ def luroth_ifs(digits: Iterable[int]) -> WeightedIFS:
     """Weighted system whose maps are the Luroth contractions of the digits.
 
     Digit d contributes ratio 1/(d*(d-1)) and translation 1/d, each the
-    correctly rounded float of the exact quotient.  The weights are
-    uniform; ``with_weights`` reweights the system.  Level-1 intervals
-    share only endpoints, so the system always passes the disjointness
-    check.  A digit whose ratio rounds to 0 is an InputError.
+    correctly rounded float of the exact quotient; the map keeps the exact
+    ratio as well.  The weights are uniform; ``with_weights`` reweights the
+    system.  Level-1 intervals share only endpoints, so the system always
+    passes the disjointness check.  A digit whose ratio rounds to 0 is an
+    InputError.
     """
     ds = _digit_set(digits)
-    maps = tuple(Similitude(1 / (d * (d - 1)), 1 / d) for d in ds)
+    maps = tuple(Similitude(Fraction(1, d * (d - 1)), Fraction(1, d)) for d in ds)
     return WeightedIFS(ds, maps, tuple(1.0 / len(ds) for _ in ds))
 
 

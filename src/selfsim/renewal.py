@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diophantine import AuxiliaryMeasure, lattice_test
+from .diophantine import AuxiliaryMeasure
 from .errors import InputError, PreconditionError, ResourceCapError
 from .ifs import DEFAULT_WORD_CAP
 
@@ -520,8 +520,7 @@ def renewal_expectation_mc(
     _check_walk(lam, t, n_samples, cap)
     if n_samples < 100:
         raise PreconditionError(f"need at least 100 samples, got {n_samples!r}")
-    lattice = lattice_test(lam)
-    if lattice:
+    if lam.lattice:
         warnings.warn(
             "lattice step law: the overshoot expectation does not converge "
             "to the stationary limit", stacklevel=2)
@@ -550,5 +549,5 @@ def renewal_expectation_mc(
         limit_value=renewal_limit(lam, g),
         n_samples=int(n_samples),
         seed=int(seed),
-        lattice=lattice,
+        lattice=lam.lattice,
     )

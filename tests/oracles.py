@@ -7,8 +7,9 @@ Cantor transform, multinomial weights over count vectors for overshoot
 laws, sine and cosine integrals for the stationary overshoot limit, exact
 Fraction arithmetic for series values and for the mass exponents of
 every symbol multiset, a sum of multinomial
-coefficients over count vectors for stopping-family sizes, and exact
-integer k-th roots for perfect powers.  The overshoot
+coefficients over count vectors for stopping-family sizes, exact
+integer k-th roots for perfect powers, and trial-division prime exponents
+for the lattice test.  The overshoot
 sampler's panel stream is restated as a loop over walkers and their
 runs.  Seven oracles are earlier versions of library code kept as
 references: compose_word, which composes a word in orbit order, the
@@ -463,3 +464,37 @@ def is_perfect_power(m: int) -> bool:
     Every k up to the bit length of m is tried, since n >= 2 bounds k by it.
     """
     return any(integer_root(m, k) ** k == m for k in range(2, m.bit_length() + 1))
+
+
+def prime_exponents(n: int) -> dict[int, int]:
+    """The prime factorisation of n >= 1 by trial division, as {prime: exponent}."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_lattice(ratios) -> bool:
+    """True when the logs of the positive rationals, none of them 1, lie on one lattice c*Z.
+
+    Each ratio becomes its vector of prime exponents, numerator minus
+    denominator; the logs are commensurable iff these vectors have rank at
+    most 1, i.e. every 2x2 minor of every pair of them vanishes.
+    """
+    vectors = []
+    for r in ratios:
+        r = Fraction(r)
+        v = prime_exponents(r.numerator)
+        for p, e in prime_exponents(r.denominator).items():
+            v[p] = v.get(p, 0) - e
+        vectors.append(v)
+    primes = sorted({p for v in vectors for p in v})
+    return all(u.get(p, 0) * v.get(q, 0) == u.get(q, 0) * v.get(p, 0)
+               for u, v in itertools.combinations(vectors, 2)
+               for p, q in itertools.combinations(primes, 2))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -645,6 +646,24 @@ def test_renewal_takes_seed_and_cap(capsys):
     code, out, _ = run(["renewal", "--spec", LUROTH_SPEC, "--t", "10", "--samples", "200",
                         "--seed", "7", "--cap", "1000000"], capsys)
     assert code == 0 and out.startswith("renewal ")
+
+
+@pytest.mark.parametrize("spec,lattice", [
+    ('{"maps":[["1/3","0"],["1/9","2/3"]]}', True),
+    (CANTOR_SPEC, True),
+    (LUROTH_SPEC, False),
+    (NINETY_SPEC, False),
+    ('{"maps":[["1/2","0"],["1099511627777/4398046511104","1/2"]]}', False),
+], ids=["third-ninth", "cantor", "luroth", "ninety", "near-dyadic"])
+def test_renewal_warns_exactly_on_lattices(spec, lattice, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(["renewal", "--spec", spec, "--t", "10", "--samples", "200"], capsys)
+    assert code == 0
+    assert f"lattice={str(lattice).lower()}" in out
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == lattice
+    assert all(m.startswith("lattice step law") for m in messages)
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -77,7 +77,7 @@ EXPECTED = {
     'dioph-scan': (
         'dioph-scan degree_l=378738195.17448759 scan_min=0.00071448466520227145'
         ' scan_min_lower=0.00070281998793061463 scan_argmin=108.7374395718232'
-        ' lattice=false classification=indeterminate log_c=-86305744.498959586'
+        ' lattice=false classification=non-lattice log_c=-86305744.498959586'
         ' points=8 evaluations=1033',
         {
             'job.csv':
@@ -86,7 +86,7 @@ EXPECTED = {
     'dioph-scan-l2': (
         'dioph-scan degree_l=2 scan_min=0.0024775284312717281'
         ' scan_min_lower=0.0024518929769707879 scan_argmin=119.4733297413793'
-        ' lattice=false classification=indeterminate log_c=nan points=8'
+        ' lattice=false classification=non-lattice log_c=nan points=8'
         ' evaluations=795',
         {
             'job.csv':

@@ -5,9 +5,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selfsim.diophantine
-from oracles import gap_bounds, is_perfect_power, scaled_gap
+from oracles import gap_bounds, is_lattice, is_perfect_power, scaled_gap
 from selfsim import (
     DiophantineReport,
     InputError,
@@ -16,8 +18,6 @@ from selfsim import (
     WeightedIFS,
     auxiliary_measure,
     classify_lattice,
-    classify_ratio,
-    continued_fraction_expansion,
     laplace_transform,
     lattice_test,
     matveev_degree,
@@ -402,66 +402,60 @@ def test_scan_validation(luroth_lambda):
         weakly_diophantine_scan(luroth_lambda, 2.0, math.nan)
 
 
-def test_continued_fraction_golden():
-    theta = math.log(2) / math.log(6)
-    cf = continued_fraction_expansion(theta, 17)
-    assert cf.quotients[:17] == (2, 1, 1, 2, 2, 3, 1, 5, 2, 23, 2, 2, 1, 1,
-                                 55, 1, 4)
-    assert not cf.terminating
-    # Convergents satisfy the determinant identity p*q' - p'*q = +-1.
-    for (p1, q1), (p2, q2) in zip(cf.convergents, cf.convergents[1:]):
-        assert abs(p1 * q2 - p2 * q1) == 1
-    # Convergent denominators grow strictly.
-    qs = [q for _, q in cf.convergents]
-    assert all(q1 < q2 for q1, q2 in zip(qs, qs[1:]))
-
-
-def test_continued_fraction_exact_rational():
-    cf = continued_fraction_expansion(0.25, 10)
-    assert cf.terminating
-    assert cf.convergents[-1] == (1, 4)
-    cf38 = continued_fraction_expansion(0.375, 10)
-    assert cf38.terminating
-    assert Fraction(*cf38.convergents[-1]) == Fraction(3, 8)
-
-
-def test_continued_fraction_validation():
-    with pytest.raises(InputError):
-        continued_fraction_expansion(0.0, 5)
-    with pytest.raises(InputError):
-        continued_fraction_expansion(1.0, 5)
-    with pytest.raises(InputError):
-        continued_fraction_expansion(0.5, 0)
-
-
-def test_classify_ratio_three_ways():
-    assert classify_ratio(0.25) == "rational"
-    assert classify_ratio(3.0 / 7.0) == "rational"
-    # log2/log6 admits a denominator-190537 convergent with error ~5e-13,
-    # and log2/log3 one at denominator 301994 with error ~2e-13: both sit
-    # under the rational tolerance, so double precision cannot rule either
-    # way and the honest answer is "indeterminate".
-    assert classify_ratio(math.log(2) / math.log(6)) == "indeterminate"
-    assert classify_ratio(math.log(2) / math.log(3)) == "indeterminate"
-    # A number whose convergent denominators jump straight past the cap
-    # leaves only poor approximations behind: decidably irrational-looking.
-    assert classify_ratio(0.5 + 1e-9 * math.sqrt(2)) == "irrational"
-
-
 def test_classify_lattice(luroth_lambda, lattice_lambda):
     assert classify_lattice(lattice_lambda) == "lattice"
-    assert classify_lattice(luroth_lambda) == "indeterminate"
+    assert classify_lattice(luroth_lambda) == "non-lattice"
     assert lattice_test(lattice_lambda) is True
     assert lattice_test(luroth_lambda) is False
     single = auxiliary_measure(WeightedIFS(
         (0,), (Similitude(0.5, 0.0),), (1.0,)))
     assert classify_lattice(single) == "lattice"
-    # log 6 / log 110 has no convergent under the cap within the tolerance.
     three_eleven = auxiliary_measure(luroth_ifs((3, 11)))
     assert classify_lattice(three_eleven) == "non-lattice"
     assert lattice_test(three_eleven) is False
     report = weakly_diophantine_scan(three_eleven, 2.0, 200.0)
     assert report.classification == "non-lattice" and report.lattice is False
+
+
+def _system(ratios):
+    """A system with these exact ratios, all at translation 0, uniformly weighted."""
+    maps = tuple(Similitude(r, 0.0) for r in ratios)
+    return WeightedIFS(tuple(range(len(maps))), maps, tuple([1.0 / len(maps)] * len(maps)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 4 - 1).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(p + 1, 10 ** 4))), min_size=1, max_size=4))
+def test_classify_lattice_matches_trial_division(pairs):
+    ratios = [Fraction(p, q) for p, q in pairs]
+    want = "lattice" if is_lattice(ratios) else "non-lattice"
+    assert classify_lattice(auxiliary_measure(_system(ratios))) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 99).flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 100))),
+       st.lists(st.integers(1, 5), min_size=1, max_size=4))
+def test_classify_lattice_on_powers_of_one_ratio(pq, powers):
+    ratios = [Fraction(*pq) ** n for n in powers]
+    assert is_lattice(ratios)
+    assert classify_lattice(auxiliary_measure(_system(ratios))) == "lattice"
+
+
+def test_luroth_digit_pairs_are_non_lattice():
+    # a*(a-1) is never a perfect power, so no two digits' steps are commensurable.
+    for a in range(2, 41):
+        assert perfect_power_free(a)
+        for b in range(a + 1, 41):
+            lam = auxiliary_measure(luroth_ifs((a, b)))
+            assert classify_lattice(lam) == "non-lattice", (a, b)
+            assert not is_lattice([Fraction(1, a * (a - 1)), Fraction(1, b * (b - 1))])
+
+
+def test_lattice_verdict_reads_exact_ratios():
+    # The floats 1/3 and 1/9 are dyadic rationals whose logs are not
+    # commensurable; the fractions 1/3 and 1/9 are.
+    assert classify_lattice(auxiliary_measure(_system([1 / 3, 1 / 9]))) == "non-lattice"
+    assert classify_lattice(auxiliary_measure(_system([Fraction(1, 3), Fraction(1, 9)]))) == "lattice"
 
 
 def test_matveev_degree_golden():

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,19 @@ def test_similitude_validation():
         Similitude(0.5, -0.1)
     with pytest.raises(InputError):
         Similitude(0.5, 0.6)  # image leaves [0,1]
+
+
+@given(st.integers(2, 10 ** 6).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
+def test_similitude_keeps_the_exact_ratio_beside_its_float(pq):
+    exact = Fraction(*pq)
+    m = Similitude(exact, 0.0)
+    assert m.ratio.hex() == float(exact).hex() and type(m.ratio) is float
+    assert m.exact_ratio == exact
+    f = Similitude(float(exact), 0.0)
+    assert f.exact_ratio == Fraction(float(exact))
+    # Equality and hashing see the float ratio only.
+    assert m == f and hash(m) == hash(f)
+    assert "exact_ratio" not in repr(m)
 
 
 def test_similitude_geometry():
